@@ -670,9 +670,10 @@ void EmitMicroJson() {
       {"micro_module_run", [&] {
          // Per-packet cost when the batch interleaves tenants in blocks
          // of 100 (one loaded calc tenant + three unconfigured ones):
-         // exercises the run segmentation — per-run BeginRun resolution,
-         // constant-key runs for the no-table tenants, and the run
-         // switch overhead — rather than one endless single-tenant run.
+         // exercises the run segmentation — the per-run compiled-run
+         // lookup and constant-key accounting, constant-key runs for the
+         // no-table tenants, and the run switch overhead — rather than
+         // one endless single-tenant run.
          std::vector<Packet> mixed;
          mixed.reserve(1000);
          const std::array<u16, 4> mix_vids = {2, 3, 4, 5};

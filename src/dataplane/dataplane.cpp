@@ -21,11 +21,6 @@ u64 MixTenantId(u64 x) {
   return x ^ (x >> 31);
 }
 
-// Packets without a VLAN tag carry no tenant ID (dropped identically by
-// any replica's filter); this sentinel keeps them out of the per-tenant
-// counters.
-constexpr u16 kNoVid = 0xFFFF;
-
 // Grouping key for the no-VLAN packets during the scatter (they all go
 // to shard 0 as one pseudo-tenant group).
 constexpr u32 kNoVlanKey = ModuleId::kMax + 1;
@@ -41,6 +36,7 @@ constexpr std::size_t kBufferPoolCap = 64;
 struct ScatterScratch {
   /// One tenant (or the no-VLAN pseudo-tenant) appearing in this batch.
   struct Group {
+    u16 vid = ingress::kNoTenant;  // tenant, or the no-VLAN pseudo-tenant
     u32 shard = 0;
     u32 count = 0;   // packets in this group
     u32 base = 0;    // start offset inside the shard's sub-batch
@@ -59,6 +55,32 @@ struct ScatterScratch {
 };
 
 thread_local ScatterScratch tls_scatter;
+
+/// What the shared run accounting needs to know of one processed packet.
+struct PacketOutcome {
+  u8 verdict = 0;  // TraceRecord encoding: 0 forwarded, 1 dropped, 2 filtered
+  u8 tier = 0;     // ExecTier
+  u8 steps = 0;
+  u64 ingress_tsc = 0;
+};
+
+/// forwarded / dropped / filtered are disjoint: they sum to packets.  A
+/// bitmap drop counts as dropped, every other non-data verdict as
+/// filtered.
+u8 VerdictClass(FilterVerdict fv, Disposition disposition) {
+  if (fv == FilterVerdict::kDropBitmap) return 1;
+  if (fv != FilterVerdict::kData) return 2;
+  return disposition == Disposition::kDrop ? 1 : 0;
+}
+
+/// Appends one run per scatter group to each group's shard, in group
+/// order — the order the groups' packets were laid out in.
+template <typename WorkT>
+void AppendRuns(const std::vector<ScatterScratch::Group>& groups,
+                std::vector<WorkT>& works) {
+  for (const ScatterScratch::Group& g : groups)
+    works[g.shard].runs.push_back(ingress::TenantRun{g.vid, g.count});
+}
 
 }  // namespace
 
@@ -262,8 +284,9 @@ void Dataplane::ScatterStream(ArenaPacket* const* pkts, std::size_t n,
           key == kNoVlanKey
               ? 0
               : ShardForLocked(ModuleId(static_cast<u16>(key)), shard_count);
-      sc.groups.push_back(
-          ScatterScratch::Group{static_cast<u32>(s), 0, 0, 0, false});
+      sc.groups.push_back(ScatterScratch::Group{
+          key == kNoVlanKey ? ingress::kNoTenant : static_cast<u16>(key),
+          static_cast<u32>(s), 0, 0, 0, false});
     }
     const u32 g = sc.slot[key];
     ++sc.groups[g].count;
@@ -281,9 +304,10 @@ void Dataplane::ScatterStream(ArenaPacket* const* pkts, std::size_t n,
   if (sc.stream_works.size() < shard_count) sc.stream_works.resize(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s) {
     if (sc.shard_total[s] == 0) continue;
-    sc.stream_works[s].pkts = AcquireStreamBuffer();
+    sc.stream_works[s] = AcquireStreamWork();
     sc.stream_works[s].pkts.resize(sc.shard_total[s]);
   }
+  AppendRuns(sc.groups, sc.stream_works);
   for (std::size_t i = 0; i < n; ++i) {
     ScatterScratch::Group& g = sc.groups[sc.group_of[i]];
     sc.stream_works[g.shard].pkts[g.base + g.cursor++] = pkts[i];
@@ -441,30 +465,36 @@ Dataplane::WorkBuffers Dataplane::AcquireWorkBuffers() {
   return WorkBuffers{};
 }
 
-void Dataplane::RecycleWorkBuffers(std::vector<Packet>&& packets,
-                                   std::vector<std::size_t>&& indices) {
-  packets.clear();  // elements are consumed husks; capacity is the value
-  indices.clear();
+void Dataplane::RecycleWorkBuffers(ingress::ShardWork& work) {
+  // Elements are consumed husks; capacity is the value.
+  WorkBuffers b{std::move(work.packets), std::move(work.indices),
+                std::move(work.runs)};
+  b.packets.clear();
+  b.indices.clear();
+  b.runs.clear();
   std::unique_lock<std::mutex> lk(pool_mutex_, std::try_to_lock);
   if (!lk.owns_lock() || buffer_pool_.size() >= kBufferPoolCap) return;
-  buffer_pool_.push_back(WorkBuffers{std::move(packets), std::move(indices)});
+  buffer_pool_.push_back(std::move(b));
 }
 
-std::vector<ArenaPacket*> Dataplane::AcquireStreamBuffer() {
+ingress::StreamWork Dataplane::AcquireStreamWork() {
   std::unique_lock<std::mutex> lk(pool_mutex_, std::try_to_lock);
   if (lk.owns_lock() && !stream_pool_.empty()) {
-    std::vector<ArenaPacket*> b = std::move(stream_pool_.back());
+    ingress::StreamWork w = std::move(stream_pool_.back());
     stream_pool_.pop_back();
-    return b;
+    return w;
   }
   return {};
 }
 
-void Dataplane::RecycleStreamBuffer(std::vector<ArenaPacket*>&& buf) {
-  buf.clear();  // pointers are handed off; capacity is the value
+void Dataplane::RecycleStreamWork(ingress::StreamWork& work) {
+  // Pointers are handed off; capacity is the value.
+  ingress::StreamWork w{std::move(work.pkts), std::move(work.runs)};
+  w.pkts.clear();
+  w.runs.clear();
   std::unique_lock<std::mutex> lk(pool_mutex_, std::try_to_lock);
   if (!lk.owns_lock() || stream_pool_.size() >= kBufferPoolCap) return;
-  stream_pool_.push_back(std::move(buf));
+  stream_pool_.push_back(std::move(w));
 }
 
 void Dataplane::ScatterAndDispatch(
@@ -511,8 +541,9 @@ void Dataplane::ScatterAndDispatch(
               : ShardForLocked(ModuleId(static_cast<u16>(key)), shard_count);
       const bool st = steal_ok && key != kNoVlanKey &&
                       TenantStealable(static_cast<u16>(key));
-      sc.groups.push_back(
-          ScatterScratch::Group{static_cast<u32>(s), 0, 0, 0, st});
+      sc.groups.push_back(ScatterScratch::Group{
+          key == kNoVlanKey ? ingress::kNoTenant : static_cast<u16>(key),
+          static_cast<u32>(s), 0, 0, 0, st});
     }
     const u32 g = sc.slot[key];
     ++sc.groups[g].count;
@@ -539,9 +570,11 @@ void Dataplane::ScatterAndDispatch(
     WorkBuffers buffers = AcquireWorkBuffers();
     sc.works[s].packets = std::move(buffers.packets);
     sc.works[s].indices = std::move(buffers.indices);
+    sc.works[s].runs = std::move(buffers.runs);
     sc.works[s].packets.resize(sc.shard_total[s]);
     sc.works[s].indices.resize(sc.shard_total[s]);
   }
+  AppendRuns(sc.groups, sc.works);
   for (std::size_t i = 0; i < n; ++i) {
     ScatterScratch::Group& g = sc.groups[sc.group_of[i]];
     const std::size_t pos = g.base + g.cursor++;
@@ -704,16 +737,66 @@ bool Dataplane::TenantStealable(u16 vid) {
   return v == 1;
 }
 
+template <typename OutcomeAt, typename Emit>
+void Dataplane::AccountTenantRuns(std::size_t s,
+                                  const std::vector<ingress::TenantRun>& runs,
+                                  bool stream, OutcomeAt outcome, Emit emit) {
+  ShardContext& ctx = *shard_ctx_[s];
+  const bool histograms = telemetry_.histograms_enabled();
+  const bool sampling = telemetry_.sample_every() != 0;
+  // One TSC read per work unit, shared by every packet in it.
+  const u64 now = histograms || sampling ? TscClock::Now() : 0;
+  std::array<u64, 3> total{};  // forwarded / dropped / filtered
+  std::array<u64, kExecTierCount> tiers{};
+  std::size_t k = 0;
+  for (const ingress::TenantRun& run : runs) {
+    std::array<u64, 3> tally{};
+    u64 run_tsc = 0;
+    for (const std::size_t end = k + run.count; k < end; ++k) {
+      const PacketOutcome o = outcome(k);
+      ++tally[o.verdict];
+      ++tiers[o.tier < kExecTierCount ? o.tier : 0];
+      if (run_tsc == 0) run_tsc = o.ingress_tsc;
+      if (sampling && telemetry_.SampleTick(s)) {
+        TraceRecord rec;
+        rec.tenant = run.vid == ingress::kNoTenant ? 0 : run.vid;
+        rec.shard = static_cast<u8>(s);
+        rec.tier = o.tier;
+        rec.stages = o.steps;
+        rec.verdict = o.verdict;
+        rec.stream = stream ? 1 : 0;
+        rec.ns = o.ingress_tsc != 0 ? TscClock::ToNs(now - o.ingress_tsc) : 0;
+        telemetry_.Trace(s, rec);
+      }
+      emit(k, o);
+    }
+    for (std::size_t c = 0; c < total.size(); ++c) total[c] += tally[c];
+    if (run.vid == ingress::kNoTenant) continue;
+    // Mirrors Pipeline's own per-tenant accounting, so the relaxed stats
+    // path agrees with the exact one whenever the engine is quiet.
+    if (tally[0] != 0) tenant_forwarded_[run.vid].Add(tally[0]);
+    if (tally[1] != 0) tenant_dropped_[run.vid].Add(tally[1]);
+    if (histograms && run_tsc != 0) {
+      const u64 ns = TscClock::ToNs(now - run_tsc);
+      if (stream)
+        telemetry_.RecordStream(s, run.vid, ns, run.count);
+      else
+        telemetry_.RecordBatched(s, run.vid, ns, run.count);
+    }
+  }
+  ctx.packets.Add(k);
+  if (total[0] != 0) ctx.forwarded.Add(total[0]);
+  if (total[1] != 0) ctx.dropped.Add(total[1]);
+  if (total[2] != 0) ctx.filtered.Add(total[2]);
+  if (histograms) {
+    for (u8 t = 0; t < kExecTierCount; ++t)
+      if (tiers[t] != 0) telemetry_.CountTier(s, t, tiers[t]);
+  }
+}
+
 void Dataplane::ExecuteWork(std::size_t s, ingress::ShardWork& work) {
   ShardContext& ctx = *shard_ctx_[s];
   const auto t0 = std::chrono::steady_clock::now();
-
-  // Input VIDs, snapshotted before processing: modules may rewrite the
-  // VID in the packet bytes, but accounting follows the ingress tenant.
-  ctx.vids.clear();
-  ctx.vids.reserve(work.packets.size());
-  for (const Packet& p : work.packets)
-    ctx.vids.push_back(p.has_vlan() ? p.vid().value() : kNoVid);
 
   ctx.results.clear();
   try {
@@ -726,86 +809,27 @@ void Dataplane::ExecuteWork(std::size_t s, ingress::ShardWork& work) {
   }
 
   ctx.batches.Add(1);
-  ctx.packets.Add(ctx.results.size());
-  // forwarded/dropped/filtered are disjoint: they sum to packets.  The
-  // per-tenant counters mirror Pipeline's own accounting so the relaxed
-  // stats path agrees with the exact one whenever the engine is quiet.
-  for (std::size_t k = 0; k < ctx.results.size(); ++k) {
-    const PipelineResult& r = ctx.results[k];
-    const u16 vid = ctx.vids[k];
-    if (r.filter_verdict == FilterVerdict::kDropBitmap) {
-      ctx.dropped.Add(1);
-      if (vid != kNoVid) tenant_dropped_[vid].Add(1);
-    } else if (r.filter_verdict != FilterVerdict::kData) {
-      ctx.filtered.Add(1);
-    } else if (r.output && r.output->disposition == Disposition::kDrop) {
-      ctx.dropped.Add(1);
-      if (vid != kNoVid) tenant_dropped_[vid].Add(1);
-    } else {
-      ctx.forwarded.Add(1);
-      if (vid != kNoVid) tenant_forwarded_[vid].Add(1);
-    }
-  }
-
-  // Telemetry: one egress TSC read per sub-batch — every packet in it
-  // shares the Submit->completion latency — recorded per contiguous
-  // tenant run (the scatter groups tenants, so runs are maximal).
-  // Sampled tracing reuses the verdict classification above.  Reads the
-  // results BEFORE the gather below moves them out.
-  const bool sampling = telemetry_.sample_every() != 0;
-  if (work.ingress_tsc != 0 &&
-      (telemetry_.histograms_enabled() || sampling)) {
-    const u64 ns = TscClock::ToNs(TscClock::Now() - work.ingress_tsc);
-    if (telemetry_.histograms_enabled()) {
-      std::size_t k = 0;
-      const std::size_t total = ctx.results.size();
-      while (k < total) {
-        const u16 vid = ctx.vids[k];
-        std::size_t e = k + 1;
-        while (e < total && ctx.vids[e] == vid) ++e;
-        if (vid != kNoVid) telemetry_.RecordBatched(s, vid, ns, e - k);
-        k = e;
-      }
-      std::array<u64, kExecTierCount> tiers{};
-      for (const PipelineResult& r : ctx.results)
-        ++tiers[r.exec_tier < kExecTierCount ? r.exec_tier : 0];
-      for (u8 t = 0; t < kExecTierCount; ++t)
-        if (tiers[t] != 0) telemetry_.CountTier(s, t, tiers[t]);
-    }
-    if (sampling) {
-      for (std::size_t k = 0; k < ctx.results.size(); ++k) {
-        if (!telemetry_.SampleTick(s)) continue;
+  // Every packet of a sub-batch shares the ticket's Submit stamp, so its
+  // Submit->completion latency is recorded once per tenant run.  The
+  // gather moves each result to its original batch position — distinct
+  // shards write disjoint index sets; the shards_pending decrement
+  // publishes them to whichever thread completes the ticket.
+  AccountTenantRuns(
+      s, work.runs, /*stream=*/false,
+      [&](std::size_t k) {
         const PipelineResult& r = ctx.results[k];
-        TraceRecord rec;
-        rec.tenant = ctx.vids[k] == kNoVid ? 0 : ctx.vids[k];
-        rec.shard = static_cast<u8>(s);
-        rec.tier = r.exec_tier;
-        rec.stages = r.exec_steps;
-        if (r.filter_verdict == FilterVerdict::kDropBitmap ||
-            (r.filter_verdict == FilterVerdict::kData && r.output &&
-             r.output->disposition == Disposition::kDrop)) {
-          rec.verdict = 1;  // dropped
-        } else if (r.filter_verdict != FilterVerdict::kData) {
-          rec.verdict = 2;  // filtered
-        } else {
-          rec.verdict = 0;  // forwarded
-        }
-        rec.stream = 0;
-        rec.ns = ns;
-        telemetry_.Trace(s, rec);
-      }
-    }
-  }
-
-  // Gather: this shard's results land at their original batch positions.
-  // Distinct shards write disjoint index sets; the shards_pending
-  // decrement publishes them to whichever thread completes the ticket.
-  for (std::size_t k = 0; k < ctx.results.size(); ++k)
-    work.ticket->results[work.indices[k]] = std::move(ctx.results[k]);
+        return PacketOutcome{
+            VerdictClass(r.filter_verdict, r.output ? r.output->disposition
+                                                    : Disposition::kForward),
+            r.exec_tier, r.exec_steps, work.ingress_tsc};
+      },
+      [&](std::size_t k, const PacketOutcome&) {
+        work.ticket->results[work.indices[k]] = std::move(ctx.results[k]);
+      });
 
   // Return the consumed sub-batch storage to the producer pool and
   // account the busy time before handing the ticket on.
-  RecycleWorkBuffers(std::move(work.packets), std::move(work.indices));
+  RecycleWorkBuffers(work);
   ctx.busy_ns.Add(static_cast<u64>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
@@ -819,119 +843,54 @@ void Dataplane::ExecuteStreamWork(std::size_t s, ingress::StreamWork& work) {
   const auto t0 = std::chrono::steady_clock::now();
   const std::size_t n = work.pkts.size();
 
-  // Ingress VIDs, snapshotted before processing (modules may rewrite the
-  // VID in the packet bytes; accounting follows the ingress tenant).
-  ctx.vids.clear();
-  ctx.vids.reserve(n);
-  for (const ArenaPacket* p : work.pkts)
-    ctx.vids.push_back(p->has_vlan() ? p->vid().value() : kNoVid);
-
   try {
     shards_[s].ProcessStreamBurst(work.pkts.data(), n);
   } catch (...) {
     // A throwing burst must not leak arena buffers: hand everything
     // back unprocessed.
     ReleaseToOwners(work.pkts.data(), n);
-    RecycleStreamBuffer(std::move(work.pkts));
+    RecycleStreamWork(work);
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
     return;
   }
 
   ctx.stream_bursts.Add(1);
   ctx.stream_pkts.Add(n);
-  ctx.packets.Add(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const ArenaPacket& p = *work.pkts[k];
-    const u16 vid = ctx.vids[k];
-    const auto fv = static_cast<FilterVerdict>(p.verdict);
-    if (fv == FilterVerdict::kDropBitmap) {
-      ctx.dropped.Add(1);
-      if (vid != kNoVid) tenant_dropped_[vid].Add(1);
-    } else if (fv != FilterVerdict::kData) {
-      ctx.filtered.Add(1);
-    } else if (p.disposition == Disposition::kDrop) {
-      ctx.dropped.Add(1);
-      if (vid != kNoVid) tenant_dropped_[vid].Add(1);
-    } else {
-      ctx.forwarded.Add(1);
-      if (vid != kNoVid) tenant_forwarded_[vid].Add(1);
-    }
-  }
-
-  // Telemetry: one egress TSC read per burst; latency per contiguous
-  // tenant run from that run's ingress stamp (every packet of a burst
-  // shares one SubmitStream stamp, so runs are exact).  Must run before
-  // the emit below hands packets to egress/arena.
-  const bool sampling = telemetry_.sample_every() != 0;
-  if (telemetry_.histograms_enabled() || sampling) {
-    const u64 now = TscClock::Now();
-    if (telemetry_.histograms_enabled()) {
-      std::size_t k = 0;
-      while (k < n) {
-        const u16 vid = ctx.vids[k];
-        const u64 stamp = work.pkts[k]->ingress_tsc;
-        std::size_t e = k + 1;
-        while (e < n && ctx.vids[e] == vid) ++e;
-        if (vid != kNoVid && stamp != 0)
-          telemetry_.RecordStream(s, vid, TscClock::ToNs(now - stamp), e - k);
-        k = e;
-      }
-      std::array<u64, kExecTierCount> tiers{};
-      for (std::size_t k2 = 0; k2 < n; ++k2) {
-        const u8 t = work.pkts[k2]->exec_tier;
-        ++tiers[t < kExecTierCount ? t : 0];
-      }
-      for (u8 t = 0; t < kExecTierCount; ++t)
-        if (tiers[t] != 0) telemetry_.CountTier(s, t, tiers[t]);
-    }
-    if (sampling) {
-      for (std::size_t k = 0; k < n; ++k) {
-        if (!telemetry_.SampleTick(s)) continue;
-        const ArenaPacket& p = *work.pkts[k];
-        TraceRecord rec;
-        rec.tenant = ctx.vids[k] == kNoVid ? 0 : ctx.vids[k];
-        rec.shard = static_cast<u8>(s);
-        rec.tier = p.exec_tier;
-        rec.stages = p.exec_steps;
-        const auto fv2 = static_cast<FilterVerdict>(p.verdict);
-        if (fv2 == FilterVerdict::kDropBitmap ||
-            (fv2 == FilterVerdict::kData &&
-             p.disposition == Disposition::kDrop)) {
-          rec.verdict = 1;  // dropped
-        } else if (fv2 != FilterVerdict::kData) {
-          rec.verdict = 2;  // filtered
-        } else {
-          rec.verdict = 0;  // forwarded
-        }
-        rec.stream = 1;
-        rec.ns = p.ingress_tsc != 0 ? TscClock::ToNs(now - p.ingress_tsc) : 0;
-        telemetry_.Trace(s, rec);
-      }
-    }
-  }
-
-  // Emit: forwarded/multicast packets go onto the egress queue in
-  // processing order; drops and non-data verdicts are recycled straight
-  // back to their arenas (compacted into the head of the burst array).
-  std::size_t ndrop = 0;
+  // Accounting and emit in one walk: forwarded/multicast packets compact
+  // to the head of the burst array in processing order (the write index
+  // never passes the read index) and go onto the egress queue in one
+  // locked insert; drops and non-data verdicts go straight back to
+  // their arenas.  Latency runs from each run's SubmitStream stamp
+  // (every packet of a burst shares one).
+  ctx.recycle.clear();
   std::size_t nfwd = 0;
-  {
-    std::lock_guard<std::mutex> g(ctx.egress_m);
-    for (std::size_t k = 0; k < n; ++k) {
-      ArenaPacket* p = work.pkts[k];
-      if (static_cast<FilterVerdict>(p->verdict) != FilterVerdict::kData ||
-          p->disposition == Disposition::kDrop) {
-        work.pkts[ndrop++] = p;
-      } else {
-        ctx.egress.push_back(p);
-        ++nfwd;
-      }
+  AccountTenantRuns(
+      s, work.runs, /*stream=*/true,
+      [&](std::size_t k) {
+        const ArenaPacket& p = *work.pkts[k];
+        return PacketOutcome{
+            VerdictClass(static_cast<FilterVerdict>(p.verdict), p.disposition),
+            p.exec_tier, p.exec_steps, p.ingress_tsc};
+      },
+      [&](std::size_t k, const PacketOutcome& o) {
+        ArenaPacket* p = work.pkts[k];
+        if (o.verdict == 0)
+          work.pkts[nfwd++] = p;
+        else
+          ctx.recycle.push_back(p);
+      });
+  if (nfwd != 0) {
+    {
+      std::lock_guard<std::mutex> g(ctx.egress_m);
+      ctx.egress.insert(ctx.egress.end(), work.pkts.begin(),
+                        work.pkts.begin() + static_cast<std::ptrdiff_t>(nfwd));
     }
+    ctx.egress_pkts.Add(nfwd);
   }
-  if (nfwd != 0) ctx.egress_pkts.Add(nfwd);
-  if (ndrop != 0) ReleaseToOwners(work.pkts.data(), ndrop);
+  if (!ctx.recycle.empty())
+    ReleaseToOwners(ctx.recycle.data(), ctx.recycle.size());
 
-  RecycleStreamBuffer(std::move(work.pkts));
+  RecycleStreamWork(work);
   ctx.busy_ns.Add(static_cast<u64>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)

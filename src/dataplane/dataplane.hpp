@@ -485,9 +485,11 @@ class Dataplane {
     RelaxedCounter stream_bursts, stream_pkts, egress_pkts;
     RelaxedCounter producer_stalls, steals;
 
-    // Worker-owned scratch, reused across sub-batches.
+    // Worker-owned scratch, reused across sub-batches: the batched
+    // results, and the dropped/filtered packets of a streaming burst on
+    // their way back to their arenas.
     std::vector<PipelineResult> results;
-    std::vector<u16> vids;
+    std::vector<ArenaPacket*> recycle;
   };
 
   /// Recycled ShardWork storage: sub-batch packet/index vectors whose
@@ -498,14 +500,14 @@ class Dataplane {
   struct WorkBuffers {
     std::vector<Packet> packets;
     std::vector<std::size_t> indices;
+    std::vector<ingress::TenantRun> runs;
   };
   [[nodiscard]] WorkBuffers AcquireWorkBuffers();
-  void RecycleWorkBuffers(std::vector<Packet>&& packets,
-                          std::vector<std::size_t>&& indices);
-  /// Recycled streaming burst storage (pointer vectors), same pool
-  /// discipline as WorkBuffers.
-  [[nodiscard]] std::vector<ArenaPacket*> AcquireStreamBuffer();
-  void RecycleStreamBuffer(std::vector<ArenaPacket*>&& buf);
+  void RecycleWorkBuffers(ingress::ShardWork& work);
+  /// Recycled streaming burst storage (pointer and run vectors), same
+  /// pool discipline as WorkBuffers.
+  [[nodiscard]] ingress::StreamWork AcquireStreamWork();
+  void RecycleStreamWork(ingress::StreamWork& work);
 
   void WorkerLoop(ShardContext* ctx, std::size_t s);
   /// Appends one replica (replaying the config log) and starts its
@@ -525,6 +527,17 @@ class Dataplane {
   /// place, account, recycle drops to their arenas, push the rest onto
   /// the shard's egress queue.
   void ExecuteStreamWork(std::size_t s, ingress::StreamWork& work);
+  /// The accounting both Execute paths share, in one walk over a
+  /// processed work unit's tenant runs: each packet's outcome
+  /// (`outcome(k)` -> PacketOutcome) is tallied and sampled for tracing,
+  /// then handed to `emit(k, outcome)` (gather or egress); per run, one
+  /// relaxed add per tenant counter and one latency record; per work
+  /// unit, one add per shard counter and per execution tier.  `stream`
+  /// selects the streaming latency histogram and trace flag.
+  template <typename OutcomeAt, typename Emit>
+  void AccountTenantRuns(std::size_t s,
+                         const std::vector<ingress::TenantRun>& runs,
+                         bool stream, OutcomeAt outcome, Emit emit);
   /// Idle-worker steal attempt: scan the steal table for a neighbour
   /// with a stealable batched backlog, pop its head sub-batch and run
   /// it on `self`'s replica.  Returns true if work was executed.
@@ -660,7 +673,7 @@ class Dataplane {
   // Recycled sub-batch buffer pool (see WorkBuffers).
   mutable std::mutex pool_mutex_;
   std::vector<WorkBuffers> buffer_pool_;
-  std::vector<std::vector<ArenaPacket*>> stream_pool_;
+  std::vector<ingress::StreamWork> stream_pool_;
 };
 
 }  // namespace menshen

@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "ingress/stream_work.hpp"
 #include "packet/packet.hpp"
 #include "pipeline/pipeline.hpp"
 
@@ -87,6 +88,8 @@ struct ShardWork {
   std::shared_ptr<TicketState> ticket;
   std::vector<Packet> packets;
   std::vector<std::size_t> indices;
+  /// The tenant runs `packets` consists of (see TenantRun).
+  std::vector<TenantRun> runs;
   /// Set by the scatter when every tenant group in this sub-batch is
   /// provably stateless (and the filter is order-insensitive), so an
   /// idle neighbour may execute it on its own replica — the

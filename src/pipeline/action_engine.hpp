@@ -51,7 +51,7 @@ class ActionEngine {
   /// Compiled-plan variant (the module-run hot path): walks only the
   /// plan's active slots and skips the PHV snapshot entirely when the
   /// plan proved it safe.  `segment` is the module's stateful segment
-  /// resolved once per run.  Behaviour is identical to ExecuteInPlace
+  /// resolved ahead of the run.  Behaviour is identical to ExecuteInPlace
   /// (pinned by the execution-plan differential suite).  Inline (with
   /// the slot core below): this is the innermost per-hit work.
   static void ExecuteCompiled(const VliwEntry& vliw, const VliwPlan& plan,

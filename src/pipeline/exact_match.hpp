@@ -51,10 +51,11 @@ class ExactMatchCam {
   [[nodiscard]] std::optional<std::size_t> LookupWord(u64 key_w0,
                                                       ModuleId module) const;
 
-  // Per-module shadow-index handles, resolved once per module run so
-  // the per-packet probe skips the outer module-map hop.  A handle is
-  // invalidated by any Write (the indexes rebuild); run contexts never
-  // span a configuration change, so they re-resolve in time.  A null
+  // Per-module shadow-index handles, resolved ahead of a module's runs
+  // so the per-packet probe skips the outer module-map hop.  A handle is
+  // invalidated by any Write (the indexes rebuild); Write bumps
+  // version(), which moves the pipeline's config stamp, so compiled
+  // runs re-resolve their handles in time.  A null
   // handle is valid and always misses (module owns no indexed entries).
   using WordIndexHandle = const std::unordered_map<u64, u32>*;
   using KeyIndexHandle = const std::unordered_map<BitVec, u32>*;
@@ -110,8 +111,8 @@ class ExactMatchCam {
   [[nodiscard]] u64 lookups() const { return lookups_.load(); }
   [[nodiscard]] u64 hits() const { return hits_.load(); }
 
-  /// Accounts `n` additional lookups whose result a run context resolved
-  /// once (an all-zero-mask module probes the same key every packet):
+  /// Accounts `n` lookups whose result a run context resolved once,
+  /// quietly (an all-zero-mask module probes the same key every packet):
   /// the counters advance exactly as if each packet had probed.
   void NoteConstantLookups(u64 n, bool hit) const {
     lookups_.Add(n);

@@ -114,14 +114,14 @@ struct ModuleExecPlan {
   /// properties of every VLIW action reachable through the row's match
   /// entries, computed with the same per-address reachability rule as
   /// the liveness scan.  The specialized straight-line kernels are
-  /// selected per module run from these bits plus the run-resolved step
-  /// count; `wide_or_ternary` rows route to the interpreted plan path
+  /// selected from these bits plus the step count the compiled run
+  /// resolved; `wide_or_ternary` rows route to the interpreted plan path
   /// (the one shape class with no registered kernel).
   struct KernelShape {
     /// Some stage with a nonzero key mask is ternary or keeps mask bits
     /// above key word 0 — its probe needs the BitVec/TCAM machinery the
     /// kernels do not inline.  (An all-zero-mask ternary stage is fine:
-    /// its constant lookup resolves in Stage::BeginRun.)
+    /// its constant lookup resolves in Stage::ResolveRun.)
     bool wide_or_ternary = false;
     /// Some reachable action touches stateful memory.
     bool stateful = false;

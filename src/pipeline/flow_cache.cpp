@@ -283,7 +283,7 @@ void FlowVerdictCache::Accumulate(RunAccounting& acct, const FlowVerdict& v,
                                   std::size_t num_stages) {
   for (std::size_t s = 0; s < num_stages; ++s) {
     const FlowVerdict::StageOutcome& o = v.outcomes[s];
-    if (!o.probed) continue;  // constant-key stage: BeginRun accounted it
+    if (!o.probed) continue;  // constant-key stage: AccountRun owes it
     ++acct.lookups[s];
     if (o.hit) ++acct.hits[s];
     acct.scanned[s] += o.scanned;

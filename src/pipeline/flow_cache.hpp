@@ -36,7 +36,7 @@
 // live per packet, exactly like the uncached path.
 //
 // Counter accounting is exact: constant-key (all-zero-mask) stages are
-// accounted by Stage::BeginRun for the whole run as before; for probing
+// accounted by Stage::AccountRun for the whole run as before; for probing
 // stages each applied verdict accumulates its recorded lookup/hit/
 // scanned deltas into a per-run accumulator flushed in one step
 // (NoteCachedLookups/NoteCachedOutcomes), so every CAM, TCAM and stage
@@ -82,7 +82,7 @@ struct FlowVerdict {
   /// Per-stage match record — the counter deltas one application of this
   /// verdict owes, and the matched entry id for observability.
   struct StageOutcome {
-    bool probed = false;  // false: constant-key stage (BeginRun accounts)
+    bool probed = false;  // false: constant-key stage (AccountRun accounts)
     bool hit = false;
     u8 address = 0;   // matched CAM/TCAM entry id (valid when hit)
     u16 scanned = 0;  // TCAM entries examined per probe
@@ -153,8 +153,8 @@ class FlowVerdictCache {
   using KeyWordArray = std::array<u64, params::kNumStages>;
 
   /// Returns `row`'s cache state, refreshed for the configuration stamp
-  /// `stamp` (the pipeline's ConfigVersionSum at the matching ExecPlanFor
-  /// call).  On a stamp move the row config is re-snapshotted; verdicts
+  /// `stamp` (the pipeline's ConfigVersionSum its compiled run is built
+  /// for).  On a stamp move the row config is re-snapshotted; verdicts
   /// are kept when it deep-compares equal and flushed otherwise.
   FlowRowState& EnsureRow(std::size_t row, u64 stamp, const Stage* stages,
                           std::size_t num_stages, const ModuleExecPlan& plan);

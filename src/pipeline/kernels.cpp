@@ -1,7 +1,8 @@
 #include "pipeline/kernels.hpp"
 
 #include <cstring>
-#include <string>
+
+#include "common/exec_tier.hpp"
 
 #include "packet/arena.hpp"
 #include "pipeline/action_engine.hpp"
@@ -21,14 +22,14 @@ inline void RunStep(KernelStep& st, Phv& phv, Phv& snapshot) {
   const VliwEntry* vliw;
   const VliwPlan* plan;
   if (st.constant) {
-    // Resolved (and fully accounted) by Stage::BeginRun.
+    // Resolved by Stage::ResolveRun, accounted per run by AccountRun.
     vliw = st.const_vliw;
     plan = st.const_plan;
   } else {
     u64 key;
     if (st.key_nparts >= 0) {
       // Precompiled extraction: raw big-endian loads at fixed PHV
-      // offsets (BuildKernelRun resolved the containers once per run).
+      // offsets (BuildKernelRun resolved the containers ahead of time).
       const u8* const pb = phv.raw().data();
       u64 w = 0;
       for (int j = 0; j < st.key_nparts; ++j) {
@@ -51,8 +52,9 @@ inline void RunStep(KernelStep& st, Phv& phv, Phv& snapshot) {
       key = st.kx->ExtractKeyWord0(phv, st.active_slots, st.pred_active) &
             st.word_mask;
     }
-    // Quiet probe with a last-key memo — the CAM cannot change mid-run,
-    // so a repeated key replays the previous outcome without re-hashing.
+    // Quiet probe with a last-key memo — the CAM cannot change while
+    // the compiled run holding this step lives, so a repeated key
+    // replays the previous outcome without re-hashing.
     // Counter deltas accumulate below and flush once per run.
     if (!st.memo_valid || key != st.memo_key) {
       st.memo_valid = true;
@@ -89,9 +91,7 @@ inline void RunStep(KernelStep& st, Phv& phv, Phv& snapshot) {
 /// effects and deparse make a single pass over the PHV emplaced
 /// directly in the packet's result (the Phv constructor zero-fills, so
 /// the planned parse needs no Clear and the result needs no copy).
-/// kStateful only differentiates the shape id (stateless instances let
-/// the compiler drop the segment plumbing after inlining).
-template <int kSteps, bool kStateful, bool kMultiSlot>
+template <int kSteps, bool kMultiSlot>
 void KernelBody(KernelRun& kr, const KernelBatchCtx& ctx) {
   for (std::size_t k = 0; k < ctx.n; ++k) {
     const std::size_t i = ctx.idx[k];
@@ -130,6 +130,8 @@ void KernelBody(KernelRun& kr, const KernelBatchCtx& ctx) {
     else
       ++*ctx.fwd;
 
+    result.exec_tier = static_cast<u8>(ExecTier::kKernel);
+    result.exec_steps = static_cast<u8>(kSteps);
     result.output = std::move(pkt);
   }
 }
@@ -140,7 +142,7 @@ void KernelBody(KernelRun& kr, const KernelBatchCtx& ctx) {
 /// of the per-packet sequence is byte-identical to the batched kernel:
 /// planned parse, unrolled RunSteps, multicast resolution, planned
 /// deparse, disjoint forwarded/dropped accounting.
-template <int kSteps, bool kStateful, bool kMultiSlot>
+template <int kSteps, bool kMultiSlot>
 void StreamKernelBody(KernelRun& kr, const StreamBatchCtx& ctx) {
   Phv& phv = *ctx.work;
   for (std::size_t k = 0; k < ctx.n; ++k) {
@@ -175,88 +177,90 @@ void StreamKernelBody(KernelRun& kr, const StreamBatchCtx& ctx) {
       ++*ctx.drop;
     else
       ++*ctx.fwd;
+
+    pkt.exec_tier = static_cast<u8>(ExecTier::kKernel);
+    pkt.exec_steps = static_cast<u8>(kSteps);
   }
 }
 
+/// Both kernel registries, indexed by shape id.
+struct Registries {
+  std::array<KernelFn, kKernelShapeCount> batch{};
+  std::array<StreamKernelFn, kKernelShapeCount> stream{};
+};
+
+/// Fills every shape id a run of kSteps steps can present.  The
+/// stateful bit selects no code: a stateful id and its stateless twin
+/// share one instantiation.
 template <int kSteps>
-void RegisterSteps(std::array<KernelFn, kKernelShapeCount>& table) {
-  table[KernelShapeId(kSteps, false, false, false)] =
-      &KernelBody<kSteps, false, false>;
-  table[KernelShapeId(kSteps, true, false, false)] =
-      &KernelBody<kSteps, true, false>;
-  table[KernelShapeId(kSteps, false, true, false)] =
-      &KernelBody<kSteps, false, true>;
-  table[KernelShapeId(kSteps, true, true, false)] =
-      &KernelBody<kSteps, true, true>;
+void RegisterSteps(Registries& r) {
+  for (const bool stateful : {false, true}) {
+    r.batch[KernelShapeId(kSteps, stateful, false, false)] =
+        &KernelBody<kSteps, false>;
+    r.batch[KernelShapeId(kSteps, stateful, true, false)] =
+        &KernelBody<kSteps, true>;
+    r.stream[KernelShapeId(kSteps, stateful, false, false)] =
+        &StreamKernelBody<kSteps, false>;
+    r.stream[KernelShapeId(kSteps, stateful, true, false)] =
+        &StreamKernelBody<kSteps, true>;
+  }
 }
 
-std::array<KernelFn, kKernelShapeCount> BuildRegistry() {
+const Registries& AllRegistries() {
   // Shapes with the wide/ternary bit set — and step counts beyond
   // kNumStages, which no run can present — stay nullptr: the dispatcher
   // routes them to the interpreted plan path.
-  std::array<KernelFn, kKernelShapeCount> table{};
-  static_assert(params::kNumStages == 5,
-                "RegisterSteps instantiations track kNumStages");
-  RegisterSteps<0>(table);
-  RegisterSteps<1>(table);
-  RegisterSteps<2>(table);
-  RegisterSteps<3>(table);
-  RegisterSteps<4>(table);
-  RegisterSteps<5>(table);
-  return table;
+  static const Registries registries = [] {
+    Registries r;
+    static_assert(params::kNumStages == 5,
+                  "RegisterSteps instantiations track kNumStages");
+    RegisterSteps<0>(r);
+    RegisterSteps<1>(r);
+    RegisterSteps<2>(r);
+    RegisterSteps<3>(r);
+    RegisterSteps<4>(r);
+    RegisterSteps<5>(r);
+    return r;
+  }();
+  return registries;
 }
 
-template <int kSteps>
-void RegisterStreamSteps(std::array<StreamKernelFn, kKernelShapeCount>& table) {
-  table[KernelShapeId(kSteps, false, false, false)] =
-      &StreamKernelBody<kSteps, false, false>;
-  table[KernelShapeId(kSteps, true, false, false)] =
-      &StreamKernelBody<kSteps, true, false>;
-  table[KernelShapeId(kSteps, false, true, false)] =
-      &StreamKernelBody<kSteps, false, true>;
-  table[KernelShapeId(kSteps, true, true, false)] =
-      &StreamKernelBody<kSteps, true, true>;
+/// Shape labels, built at compile time: "s<steps>", then "+stateful"
+/// and "+multislot" as flagged, the whole prefixed by "wide/ternary:"
+/// when the wide bit is set.
+using ShapeLabel = std::array<char, 40>;
+
+constexpr std::array<ShapeLabel, kKernelShapeCount> BuildShapeLabels() {
+  std::array<ShapeLabel, kKernelShapeCount> labels{};
+  for (std::size_t id = 0; id < kKernelShapeCount; ++id) {
+    std::size_t len = 0;
+    const auto append = [&](const char* part) {
+      for (; *part != '\0'; ++part) labels[id][len++] = *part;
+    };
+    if (id & 0x20u) append("wide/ternary:");
+    append("s");
+    labels[id][len++] = static_cast<char>('0' + (id & 0x7u));
+    if (id & 0x08u) append("+stateful");
+    if (id & 0x10u) append("+multislot");
+  }
+  return labels;
 }
 
-std::array<StreamKernelFn, kKernelShapeCount> BuildStreamRegistry() {
-  std::array<StreamKernelFn, kKernelShapeCount> table{};
-  static_assert(params::kNumStages == 5,
-                "RegisterStreamSteps instantiations track kNumStages");
-  RegisterStreamSteps<0>(table);
-  RegisterStreamSteps<1>(table);
-  RegisterStreamSteps<2>(table);
-  RegisterStreamSteps<3>(table);
-  RegisterStreamSteps<4>(table);
-  RegisterStreamSteps<5>(table);
-  return table;
-}
+constexpr std::array<ShapeLabel, kKernelShapeCount> kShapeLabels =
+    BuildShapeLabels();
 
 }  // namespace
 
 const std::array<KernelFn, kKernelShapeCount>& KernelRegistry() {
-  static const std::array<KernelFn, kKernelShapeCount> table = BuildRegistry();
-  return table;
+  return AllRegistries().batch;
 }
 
 const std::array<StreamKernelFn, kKernelShapeCount>& StreamKernelRegistry() {
-  static const std::array<StreamKernelFn, kKernelShapeCount> table =
-      BuildStreamRegistry();
-  return table;
+  return AllRegistries().stream;
 }
 
 const char* KernelShapeName(u8 shape) {
-  static const std::array<std::string, kKernelShapeCount> names = [] {
-    std::array<std::string, kKernelShapeCount> n;
-    for (std::size_t id = 0; id < kKernelShapeCount; ++id) {
-      std::string s = "s" + std::to_string(id & 0x7u);
-      if (id & 0x08u) s += "+stateful";
-      if (id & 0x10u) s += "+multislot";
-      if (id & 0x20u) s = "wide/ternary:" + s;
-      n[id] = std::move(s);
-    }
-    return n;
-  }();
-  return names[shape & (kKernelShapeCount - 1)].c_str();
+  return kShapeLabels[shape & (kKernelShapeCount - 1)].data();
 }
 
 bool BuildKernelRun(const Stage* stages, std::size_t num_stages,
@@ -303,7 +307,7 @@ bool BuildKernelRun(const Stage* stages, std::size_t num_stages,
 void FlushKernelCounters(Stage* stages, KernelRun& kr) {
   for (std::size_t k = 0; k < kr.num_steps; ++k) {
     KernelStep& st = kr.steps[k];
-    if (st.constant) continue;  // BeginRun accounted the whole run
+    if (st.constant) continue;  // Stage::AccountRun owes these
     const u64 lookups = st.hits + st.misses;
     if (lookups != 0) {
       stages[st.stage].cam().NoteCachedLookups(lookups, st.hits);

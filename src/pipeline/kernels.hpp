@@ -14,9 +14,10 @@
 // unrolls), single-slot rows skip the snapshot and the slot loop, and
 // constant-miss stages are compiled out of the run entirely.
 //
-// Selection happens once per module run, from the run contexts
-// Stage::BeginRun resolved; invalidation therefore rides the exact same
-// summed config-version stamps the execution plans already use.  The
+// Selection happens once per configuration version, when the pipeline
+// compiles a module run from the run contexts Stage::ResolveRun
+// resolved; invalidation therefore rides the exact same summed
+// config-version stamp the execution plans already use.  The
 // one shape class with no registered kernel — wide_or_ternary — routes
 // to the interpreted plan path (Pipeline::RunOne), which also survives
 // as the differential reference for every kernel
@@ -28,13 +29,15 @@
 // flush per run (FlushKernelCounters) advances the CAM lookup/hit and
 // stage hit/miss counters by the identical totals per-packet
 // interpretation would have recorded — the same bulk discipline the
-// flow-verdict cache already uses.  Constant-key stages were already
-// accounted by BeginRun.
+// flow-verdict cache already uses.  Constant-key stages are accounted
+// per run by Stage::AccountRun.
 //
-// Each probing step also memoizes its last (key -> outcome) pair: a run
-// never spans a configuration change, so a repeated key — the common
-// case under zipfian flow locality — replays the previous outcome
-// without re-hashing.  Counters still advance per packet.
+// Each probing step also memoizes its last (key -> outcome) pair.  The
+// memo lives in the compiled run, which is rebuilt whenever the config
+// stamp moves, so it carries across runs only while no configuration
+// changed: a repeated key — the common case under zipfian flow
+// locality — replays the previous outcome without re-hashing.  Counters
+// still advance per packet.
 #pragma once
 
 #include <array>
@@ -58,7 +61,8 @@ class ArenaPacket;      // packet/arena.hpp (streaming kernels)
 /// bit 4 multi-slot, bit 5 wide-or-ternary.  64 ids; the registry holds
 /// a kernel for every id a run can actually present (steps <=
 /// kNumStages, wide bit clear) and nullptr — meaning "interpreted plan
-/// fallback" — for the rest.
+/// fallback" — for the rest.  The stateful bit is observability only:
+/// a stateful id and its stateless twin dispatch to one instantiation.
 inline constexpr std::size_t kKernelShapeCount = 64;
 
 [[nodiscard]] constexpr u8 KernelShapeId(u8 steps, bool stateful,
@@ -76,8 +80,9 @@ inline constexpr std::size_t kKernelShapeCount = 64;
 ///  - probe (constant == false): extract the one-word key from the
 ///    evolving PHV, hash-probe the per-module CAM shadow index, apply
 ///    the matched row's compiled VLIW plan;
-///  - constant apply (constant == true): the lookup was resolved (and
-///    fully accounted) by Stage::BeginRun — only the action runs.
+///  - constant apply (constant == true): the lookup was resolved by
+///    Stage::ResolveRun (and is accounted per run by AccountRun) — only
+///    the action runs.
 /// Constant *misses* never become steps at all.
 struct KernelStep {
   const KeyExtractorEntry* kx = nullptr;
@@ -97,8 +102,8 @@ struct KernelStep {
   const VliwPlan* const_plan = nullptr;
   StatefulMemory::Segment segment;
   u8 stage = 0;  // owning stage index (counter flush)
-  // Last-probe memo (probe form only): valid for the rest of the run,
-  // because run contexts never span a configuration change.
+  // Last-probe memo (probe form only): valid until the compiled run is
+  // rebuilt, which every configuration change forces.
   u64 memo_key = 0;
   u32 memo_addr = 0;
   bool memo_valid = false;
@@ -109,8 +114,9 @@ struct KernelStep {
   u64 misses = 0;
 };
 
-/// One module run's compiled kernel input: the surviving steps plus the
-/// module's parse/deparse plans.  Reused across runs by the pipeline.
+/// One module's compiled kernel input: the surviving steps plus the
+/// module's parse/deparse plans.  Held by the pipeline's compiled run
+/// and reused across runs until the config stamp moves.
 struct KernelRun {
   std::array<KernelStep, params::kNumStages> steps{};
   u8 num_steps = 0;
@@ -160,7 +166,7 @@ using StreamKernelFn = void (*)(KernelRun&, const StreamBatchCtx&);
 [[nodiscard]] const std::array<StreamKernelFn, kKernelShapeCount>&
 StreamKernelRegistry();
 
-/// Compiles the per-stage run contexts BeginRun resolved into a kernel
+/// Compiles the per-stage run contexts ResolveRun resolved into a kernel
 /// step list.  Returns false — interpreter fallback — iff some probing
 /// stage needs the wide-key or ternary machinery (exactly the plans
 /// whose KernelShape has wide_or_ternary set; the exhaustiveness test

@@ -19,25 +19,53 @@ u64 Pipeline::ConfigVersionSum() const {
   // Every configuration mutation path bumps one of these monotonic
   // counters, so the sum moves on any write — epoch commits, direct
   // table writes from tests, and ResizeShards config-log replay alike.
+  // The segment tables count too: a compiled run holds each stage's
+  // resolved segment view.
   u64 sum = parser_.table().version() + deparser_.table().version();
   for (const Stage& stage : stages_)
     sum += stage.key_extractor().version() + stage.key_mask().version() +
            stage.cam().version() + stage.tcam().version() +
-           stage.vliw_version();
+           stage.vliw_version() + stage.stateful().segment_table().version();
   return sum;
 }
 
-const ModuleExecPlan& Pipeline::ExecPlanFor(ModuleId module) {
+Pipeline::CompiledRun& Pipeline::RunFor(ModuleId module, u64 stamp) {
   const std::size_t row = parser_.table().IndexFor(module);
-  CachedExecPlan& cached = exec_plans_[row];
-  const u64 stamp = ConfigVersionSum();
-  if (cached.built_at_version != stamp) {
-    cached.plan = CompileModuleExecPlan(parser_.table().At(row),
-                                        deparser_.table().At(row),
-                                        stages_.data(), stages_.size(), row);
-    cached.built_at_version = stamp;
+  CompiledRun& run = runs_[row];
+  if (run.stamp == stamp && run.module == module) return run;
+
+  if (run.stamp != stamp) {
+    // The plan and the flow-cache row belong to the row, not the module:
+    // an aliasing module ID reuses them at an unchanged stamp.
+    run.plan = CompileModuleExecPlan(parser_.table().At(row),
+                                     deparser_.table().At(row),
+                                     stages_.data(), stages_.size(), row);
+    run.flow = &flow_cache_.EnsureRow(row, stamp, stages_.data(),
+                                      stages_.size(), run.plan);
+    run.stamp = stamp;
   }
-  return cached.plan;
+  run.module = module;
+  for (std::size_t s = 0; s < stages_.size(); ++s)
+    stages_[s].ResolveRun(module, run.ctx[s]);
+  // unordered_map references are stable across inserts.
+  run.fwd = &forwarded_[module.value()];
+  run.drop = &dropped_[module.value()];
+
+  run.batch_kernel = nullptr;
+  run.stream_kernel = nullptr;
+  if (!run.plan.kernel.wide_or_ternary &&
+      BuildKernelRun(stages_.data(), stages_.size(), run.ctx.data(), run.plan,
+                     run.kernel)) {
+    run.shape = KernelShapeId(run.kernel.num_steps, run.plan.kernel.stateful,
+                              run.plan.kernel.multi_slot, false);
+    run.batch_kernel = KernelRegistry()[run.shape];
+    run.stream_kernel = StreamKernelRegistry()[run.shape];
+  }
+  return run;
+}
+
+const ModuleExecPlan& Pipeline::ExecPlanFor(ModuleId module) {
+  return RunFor(module, ConfigVersionSum()).plan;
 }
 
 Pipeline::KernelStats Pipeline::KernelSnapshot() const {
@@ -58,11 +86,7 @@ ModuleExecPlan Pipeline::DescribeRow(ModuleId module) const {
 }
 
 FlowRowState& Pipeline::FlowRowFor(ModuleId module) {
-  const std::size_t row = parser_.table().IndexFor(module);
-  const ModuleExecPlan& plan = ExecPlanFor(module);
-  // ExecPlanFor just stamped this row with the current ConfigVersionSum.
-  return flow_cache_.EnsureRow(row, exec_plans_[row].built_at_version,
-                               stages_.data(), stages_.size(), plan);
+  return *RunFor(module, ConfigVersionSum()).flow;
 }
 
 void Pipeline::RunResolveCached(Packet& pkt, PipelineResult& result, Phv& phv,
@@ -239,12 +263,12 @@ void Pipeline::RunOneReplay(Packet& pkt, PipelineResult& result,
 }
 
 void Pipeline::RunOne(Packet& pkt, PipelineResult& result,
-                      const ModuleExecPlan& plan, u64& fwd, u64& drop) {
+                      const CompiledRun& run) {
   ++total_processed_;
   Phv& phv = result.final_phv.emplace();
-  PlannedParseInto(pkt, phv, plan.parse);
+  PlannedParseInto(pkt, phv, run.plan.parse);
   for (std::size_t s = 0; s < stages_.size(); ++s)
-    stages_[s].ProcessRun(phv, run_ctx_[s]);
+    stages_[s].ProcessRun(phv, run.ctx[s]);
   result.exec_tier = static_cast<u8>(ExecTier::kInterpreted);
   result.exec_steps = static_cast<u8>(stages_.size());
 
@@ -254,51 +278,37 @@ void Pipeline::RunOne(Packet& pkt, PipelineResult& result,
     if (const auto* ports = MulticastGroup(group)) pkt.multicast_ports = *ports;
   }
 
-  deparser_.DeparsePlanned(phv, pkt, plan.deparse);
+  deparser_.DeparsePlanned(phv, pkt, run.plan.deparse);
 
   if (pkt.disposition == Disposition::kDrop)
-    ++drop;
+    ++*run.drop;
   else
-    ++fwd;
+    ++*run.fwd;
 
   result.output = std::move(pkt);
 }
 
 void Pipeline::RunSpan(Packet* batch, PipelineResult* out, const u32* idx,
-                       std::size_t n, const ModuleExecPlan& plan, u64& fwd,
-                       u64& drop) {
-  if (kernels_enabled_ && !plan.kernel.wide_or_ternary &&
-      BuildKernelRun(stages_.data(), stages_.size(), run_ctx_.data(), plan,
-                     kernel_run_)) {
-    const u8 shape = KernelShapeId(kernel_run_.num_steps, plan.kernel.stateful,
-                                   plan.kernel.multi_slot, false);
-    if (const KernelFn fn = KernelRegistry()[shape]) {
-      KernelBatchCtx ctx;
-      ctx.batch = batch;
-      ctx.out = out;
-      ctx.idx = idx;
-      ctx.n = n;
-      ctx.mcast = &mcast_groups_;
-      ctx.fwd = &fwd;
-      ctx.drop = &drop;
-      ctx.snapshot = &kernel_snapshot_scratch_;
-      fn(kernel_run_, ctx);
-      FlushKernelCounters(stages_.data(), kernel_run_);
-      total_processed_ += n;
-      kernel_pkts_.Add(n);
-      kernel_shape_pkts_[shape].Add(n);
-      for (std::size_t k = 0; k < n; ++k) {
-        out[idx[k]].exec_tier = static_cast<u8>(ExecTier::kKernel);
-        out[idx[k]].exec_steps = kernel_run_.num_steps;
-      }
-      return;
-    }
+                       std::size_t n, CompiledRun& run) {
+  if (kernels_enabled_ && run.batch_kernel != nullptr) {
+    KernelBatchCtx ctx;
+    ctx.batch = batch;
+    ctx.out = out;
+    ctx.idx = idx;
+    ctx.n = n;
+    ctx.mcast = &mcast_groups_;
+    ctx.fwd = run.fwd;
+    ctx.drop = run.drop;
+    ctx.snapshot = &kernel_snapshot_scratch_;
+    run.batch_kernel(run.kernel, ctx);
+    FlushKernelCounters(stages_.data(), run.kernel);
+    total_processed_ += n;
+    kernel_pkts_.Add(n);
+    kernel_shape_pkts_[run.shape].Add(n);
+    return;
   }
   kernel_fallback_pkts_.Add(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t i = idx[k];
-    RunOne(batch[i], out[i], plan, fwd, drop);
-  }
+  for (std::size_t k = 0; k < n; ++k) RunOne(batch[idx[k]], out[idx[k]], run);
 }
 
 PipelineResult Pipeline::Process(Packet pkt) {
@@ -322,26 +332,19 @@ PipelineResult Pipeline::Process(Packet pkt) {
   }
 
   const ModuleId module = pkt.vid();
-  const ModuleExecPlan& plan = ExecPlanFor(module);
-  // BeginRun resolves the per-stage contexts AND accounts constant-key
-  // stages for the run — required on the cached path too, which skips
-  // ProcessRun but relies on that accounting.
-  for (std::size_t s = 0; s < stages_.size(); ++s)
-    stages_[s].BeginRun(module, 1, run_ctx_[s]);
-  const std::size_t row = parser_.table().IndexFor(module);
-  FlowRowState& frow = flow_cache_.EnsureRow(
-      row, exec_plans_[row].built_at_version, stages_.data(), stages_.size(),
-      plan);
-  if (frow.eligible) {
+  CompiledRun& run = RunFor(module, ConfigVersionSum());
+  // Constant-key stages are accounted per run — required on the cached
+  // path too, which skips ProcessRun but relies on that accounting.
+  AccountRun(run, 1);
+  if (run.flow->eligible) {
     FlowVerdictCache::RunAccounting acct;
-    RunOneCached(pkt, result, plan, frow, acct, module,
-                 forwarded_[module.value()], dropped_[module.value()]);
-    FlowVerdictCache::FlushAccounting(acct, frow, stages_.data(),
+    RunOneCached(pkt, result, run.plan, *run.flow, acct, module, *run.fwd,
+                 *run.drop);
+    FlowVerdictCache::FlushAccounting(acct, *run.flow, stages_.data(),
                                       stages_.size());
   } else {
     static constexpr u32 kZeroIdx = 0;
-    RunSpan(&pkt, &result, &kZeroIdx, 1, plan, forwarded_[module.value()],
-            dropped_[module.value()]);
+    RunSpan(&pkt, &result, &kZeroIdx, 1, run);
   }
   return result;
 }
@@ -400,6 +403,7 @@ void Pipeline::ProcessBatchInto(std::vector<Packet>&& batch,
   // the span's packets are still cache-hot from classification.  (The
   // earlier classify-everything-then-execute structure evicted a span
   // from L1 between the two passes.)
+  const u64 stamp = ConfigVersionSum();
   data_idx_scratch_.clear();
   std::size_t span_start = 0;  // index into data_idx_scratch_
   ModuleId span_module(0);
@@ -441,18 +445,12 @@ void Pipeline::ProcessBatchInto(std::vector<Packet>&& batch,
     const std::size_t a = span_start;
     const std::size_t b = data_idx_scratch_.size();
 
-    const ModuleExecPlan& plan = ExecPlanFor(module);
-    for (std::size_t s = 0; s < stages_.size(); ++s)
-      stages_[s].BeginRun(module, b - a, run_ctx_[s]);
-    // unordered_map references are stable across inserts, so the run's
-    // counter slots are hoisted out of the packet loop.
-    u64& fwd = forwarded_[module.value()];
-    u64& drop = dropped_[module.value()];
-
-    const std::size_t row = parser_.table().IndexFor(module);
-    FlowRowState& frow = flow_cache_.EnsureRow(
-        row, exec_plans_[row].built_at_version, stages_.data(),
-        stages_.size(), plan);
+    CompiledRun& run = RunFor(module, stamp);
+    AccountRun(run, b - a);
+    const ModuleExecPlan& plan = run.plan;
+    u64& fwd = *run.fwd;
+    u64& drop = *run.drop;
+    FlowRowState& frow = *run.flow;
     if (frow.eligible) {
       // Provably stateless row: every packet goes through the
       // flow-verdict cache; counter deltas flush once per run.
@@ -463,7 +461,7 @@ void Pipeline::ProcessBatchInto(std::vector<Packet>&& batch,
         // covers the run: the first packet probes (filling on a miss)
         // and the rest replay the now-resident verdict with no
         // per-packet extraction or hashing.  Constant-key stages are
-        // accounted by BeginRun for the whole run and an all-constant
+        // accounted by AccountRun for the whole run and an all-constant
         // verdict owes no per-packet probe deltas, so the replayed
         // packets only need the bulk hit count.
         const std::size_t i0 = data_idx_scratch_[k++];
@@ -551,7 +549,7 @@ void Pipeline::ProcessBatchInto(std::vector<Packet>&& batch,
                                         stages_.size());
     } else {
       RunSpan(batch.data(), out.data() + base, data_idx_scratch_.data() + a,
-              b - a, plan, fwd, drop);
+              b - a, run);
     }
     span_start = b;
     if (i < n) {
@@ -569,14 +567,13 @@ std::vector<PipelineResult> Pipeline::ProcessBatch(
   return out;
 }
 
-void Pipeline::StreamRunOne(ArenaPacket& pkt, const ModuleExecPlan& plan,
-                            u64& fwd, u64& drop) {
+void Pipeline::StreamRunOne(ArenaPacket& pkt, const CompiledRun& run) {
   ++total_processed_;
   Phv& phv = stream_phv_;
   phv.Clear();
-  PlannedParseInto(pkt, phv, plan.parse);
+  PlannedParseInto(pkt, phv, run.plan.parse);
   for (std::size_t s = 0; s < stages_.size(); ++s)
-    stages_[s].ProcessRun(phv, run_ctx_[s]);
+    stages_[s].ProcessRun(phv, run.ctx[s]);
   pkt.exec_tier = static_cast<u8>(ExecTier::kInterpreted);
   pkt.exec_steps = static_cast<u8>(stages_.size());
 
@@ -585,12 +582,12 @@ void Pipeline::StreamRunOne(ArenaPacket& pkt, const ModuleExecPlan& plan,
     if (const auto* ports = MulticastGroup(group)) pkt.multicast_ports = *ports;
   }
 
-  PlannedDeparseFrom(phv, pkt, plan.deparse);
+  PlannedDeparseFrom(phv, pkt, run.plan.deparse);
 
   if (pkt.disposition == Disposition::kDrop)
-    ++drop;
+    ++*run.drop;
   else
-    ++fwd;
+    ++*run.fwd;
 }
 
 void Pipeline::StreamResolveCached(ArenaPacket& pkt, Phv& phv,
@@ -735,38 +732,26 @@ void Pipeline::StreamRunBurstCached(ArenaPacket* const* pkts, const u32* idx,
 }
 
 void Pipeline::StreamRunSpan(ArenaPacket* const* pkts, const u32* idx,
-                             std::size_t n, const ModuleExecPlan& plan,
-                             u64& fwd, u64& drop) {
-  if (kernels_enabled_ && !plan.kernel.wide_or_ternary &&
-      BuildKernelRun(stages_.data(), stages_.size(), run_ctx_.data(), plan,
-                     kernel_run_)) {
-    const u8 shape = KernelShapeId(kernel_run_.num_steps, plan.kernel.stateful,
-                                   plan.kernel.multi_slot, false);
-    if (const StreamKernelFn fn = StreamKernelRegistry()[shape]) {
-      StreamBatchCtx ctx;
-      ctx.pkts = pkts;
-      ctx.idx = idx;
-      ctx.n = n;
-      ctx.mcast = &mcast_groups_;
-      ctx.fwd = &fwd;
-      ctx.drop = &drop;
-      ctx.snapshot = &kernel_snapshot_scratch_;
-      ctx.work = &stream_phv_;
-      fn(kernel_run_, ctx);
-      FlushKernelCounters(stages_.data(), kernel_run_);
-      total_processed_ += n;
-      kernel_pkts_.Add(n);
-      kernel_shape_pkts_[shape].Add(n);
-      for (std::size_t k = 0; k < n; ++k) {
-        pkts[idx[k]]->exec_tier = static_cast<u8>(ExecTier::kKernel);
-        pkts[idx[k]]->exec_steps = kernel_run_.num_steps;
-      }
-      return;
-    }
+                             std::size_t n, CompiledRun& run) {
+  if (kernels_enabled_ && run.stream_kernel != nullptr) {
+    StreamBatchCtx ctx;
+    ctx.pkts = pkts;
+    ctx.idx = idx;
+    ctx.n = n;
+    ctx.mcast = &mcast_groups_;
+    ctx.fwd = run.fwd;
+    ctx.drop = run.drop;
+    ctx.snapshot = &kernel_snapshot_scratch_;
+    ctx.work = &stream_phv_;
+    run.stream_kernel(run.kernel, ctx);
+    FlushKernelCounters(stages_.data(), run.kernel);
+    total_processed_ += n;
+    kernel_pkts_.Add(n);
+    kernel_shape_pkts_[run.shape].Add(n);
+    return;
   }
   kernel_fallback_pkts_.Add(n);
-  for (std::size_t k = 0; k < n; ++k)
-    StreamRunOne(*pkts[idx[k]], plan, fwd, drop);
+  for (std::size_t k = 0; k < n; ++k) StreamRunOne(*pkts[idx[k]], run);
 }
 
 void Pipeline::ProcessStreamBurst(ArenaPacket* const* pkts, std::size_t n) {
@@ -775,6 +760,7 @@ void Pipeline::ProcessStreamBurst(ArenaPacket* const* pkts, std::size_t n) {
   // packets execute through the identical three-tier ladder the moment
   // the tenant changes.  The filter's round-robin cursor and drop
   // counters advance exactly as on the batched path.
+  const u64 stamp = ConfigVersionSum();
   data_idx_scratch_.clear();
   std::size_t span_start = 0;  // index into data_idx_scratch_
   ModuleId span_module(0);
@@ -818,32 +804,25 @@ void Pipeline::ProcessStreamBurst(ArenaPacket* const* pkts, std::size_t n) {
     const std::size_t a = span_start;
     const std::size_t b = data_idx_scratch_.size();
 
-    const ModuleExecPlan& plan = ExecPlanFor(module);
-    for (std::size_t s = 0; s < stages_.size(); ++s)
-      stages_[s].BeginRun(module, b - a, run_ctx_[s]);
-    u64& fwd = forwarded_[module.value()];
-    u64& drop = dropped_[module.value()];
-
-    const std::size_t row = parser_.table().IndexFor(module);
-    FlowRowState& frow = flow_cache_.EnsureRow(
-        row, exec_plans_[row].built_at_version, stages_.data(),
-        stages_.size(), plan);
+    CompiledRun& run = RunFor(module, stamp);
+    AccountRun(run, b - a);
+    FlowRowState& frow = *run.flow;
     if (frow.eligible) {
       FlowVerdictCache::RunAccounting acct;
       if (burst_probe_enabled_ && b - a >= 2) {
-        StreamRunBurstCached(pkts, data_idx_scratch_.data() + a, b - a, plan,
-                             frow, acct, module, fwd, drop);
+        StreamRunBurstCached(pkts, data_idx_scratch_.data() + a, b - a,
+                             run.plan, frow, acct, module, *run.fwd,
+                             *run.drop);
       } else {
         for (std::size_t k = a; k < b; ++k) {
-          StreamRunOneCached(*pkts[data_idx_scratch_[k]], plan, frow, acct,
-                             module, fwd, drop);
+          StreamRunOneCached(*pkts[data_idx_scratch_[k]], run.plan, frow, acct,
+                             module, *run.fwd, *run.drop);
         }
       }
       FlowVerdictCache::FlushAccounting(acct, frow, stages_.data(),
                                         stages_.size());
     } else {
-      StreamRunSpan(pkts, data_idx_scratch_.data() + a, b - a, plan, fwd,
-                    drop);
+      StreamRunSpan(pkts, data_idx_scratch_.data() + a, b - a, run);
     }
     span_start = b;
     if (i < n) {

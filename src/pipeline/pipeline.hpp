@@ -6,6 +6,7 @@
 #pragma once
 
 #include <array>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -63,11 +64,11 @@ class Pipeline {
   /// into their results, and one PHV plus the per-stage scratch buffers
   /// are reused across the whole batch, so the steady state performs no
   /// per-packet allocation.  The batch is executed as *module runs* —
-  /// maximal spans of consecutive same-tenant data packets — with the
-  /// per-stage overlay lookups, key plans, stateful segment bases and
-  /// the module's parse/deparse plans resolved once per run.  Behaviour
-  /// per packet is identical to Process() (pinned by the dataplane
-  /// differential test).
+  /// maximal spans of consecutive same-tenant data packets — each
+  /// executed under its row's compiled run (see CompiledRun below), so a
+  /// run pays no configuration reads at all while the config stamp
+  /// holds.  Behaviour per packet is identical to Process() (pinned by
+  /// the dataplane differential test).
   void ProcessBatchInto(std::vector<Packet>&& batch,
                         std::vector<PipelineResult>& out);
 
@@ -89,9 +90,9 @@ class Pipeline {
   /// The compiled execution plan for `module`'s overlay row, rebuilt
   /// when any of the configuration version counters it derives from
   /// (parser/deparser tables, key extractors/masks, CAM/TCAM entries,
-  /// VLIW tables) has moved — every configuration path bumps one, so
-  /// epoch commits, overlay rewrites and ResizeShards config-log replay
-  /// all invalidate coherently.  Exposed for tests and benchmarks.
+  /// VLIW and segment tables) has moved — every configuration path bumps
+  /// one, so epoch commits, overlay rewrites and ResizeShards config-log
+  /// replay all invalidate coherently.  Exposed for tests and benchmarks.
   [[nodiscard]] const ModuleExecPlan& ExecPlanFor(ModuleId module);
 
   /// The flow-verdict cache state for `module`'s overlay row, refreshed
@@ -175,14 +176,69 @@ class Pipeline {
   [[nodiscard]] std::vector<ModuleId> ActiveModules() const;
 
  private:
-  /// Sum of every configuration version counter an execution plan
-  /// derives from — monotonic, so a stale plan can never alias a
-  /// current stamp.
+  /// One overlay row's compiled module run: everything a run of the
+  /// row's module needs that derives from configuration alone — the
+  /// execution plan, the resolved per-stage run contexts (constant-key
+  /// outcomes included), the flow-cache row, the forwarded/dropped
+  /// counter slots and the kernel step list with its entry points.
+  /// Rebuilt when the config stamp moves or another module ID aliasing
+  /// the row shows up; everything else a run does — constant-key and
+  /// kernel counter accounting, flow-cache probes, multicast resolution —
+  /// stays per run or per packet.
+  struct CompiledRun {
+    u64 stamp = ~u64{0};  // ConfigVersionSum() at build time
+    ModuleId module{0};
+    ModuleExecPlan plan;
+    std::array<Stage::ModuleRunContext, params::kNumStages> ctx{};
+    FlowRowState* flow = nullptr;
+    u64* fwd = nullptr;   // forwarded_[module]
+    u64* drop = nullptr;  // dropped_[module]
+    // Kernel tier: null entry points = interpreted plan path.
+    KernelRun kernel;
+    u8 shape = 0;
+    KernelFn batch_kernel = nullptr;
+    StreamKernelFn stream_kernel = nullptr;
+  };
+
+  /// The per-row compiled runs, each allocated when its row first
+  /// carries traffic, so only rows in use cost memory.  They point into
+  /// this pipeline's own stages, flow cache and counters, so a copied or
+  /// moved pipeline starts with an empty table instead of inheriting its
+  /// source's pointers.
+  class CompiledRunTable {
+   public:
+    CompiledRunTable() = default;
+    CompiledRunTable(const CompiledRunTable&) {}
+    CompiledRunTable& operator=(const CompiledRunTable&) {
+      for (std::unique_ptr<CompiledRun>& run : runs_) run.reset();
+      return *this;
+    }
+    [[nodiscard]] CompiledRun& operator[](std::size_t row) {
+      std::unique_ptr<CompiledRun>& run = runs_[row];
+      if (run == nullptr) run = std::make_unique<CompiledRun>();
+      return *run;
+    }
+
+   private:
+    std::array<std::unique_ptr<CompiledRun>, params::kOverlayTableDepth>
+        runs_;
+  };
+
+  /// Sum of every configuration version counter a compiled run derives
+  /// from — monotonic, so a stale run can never alias a current stamp.
+  /// Read once per ProcessBatchInto / ProcessStreamBurst / Process call:
+  /// configuration never changes inside one.
   [[nodiscard]] u64 ConfigVersionSum() const;
+  /// `module`'s compiled run, rebuilt first when it is stale for `stamp`.
+  CompiledRun& RunFor(ModuleId module, u64 stamp);
+  /// Accounts the constant-key stages for one run of `run_len` packets.
+  void AccountRun(const CompiledRun& run, u64 run_len) {
+    for (std::size_t s = 0; s < stages_.size(); ++s)
+      stages_[s].AccountRun(run.ctx[s], run_len);
+  }
   /// Runs one already-classified data packet through parse, stages and
-  /// deparse under the resolved run contexts, filling `result`.
-  void RunOne(Packet& pkt, PipelineResult& result, const ModuleExecPlan& plan,
-              u64& fwd, u64& drop);
+  /// deparse under the compiled run's contexts, filling `result`.
+  void RunOne(Packet& pkt, PipelineResult& result, const CompiledRun& run);
   /// Cached-row variant of RunOne: parse, probe the flow-verdict cache,
   /// replay (or build) the verdict, deparse.  Never calls ProcessRun;
   /// counter deltas accumulate into `acct` (flushed once per run).
@@ -198,25 +254,22 @@ class Pipeline {
                     const ModuleExecPlan& plan, const FlowVerdict& v, u64& fwd,
                     u64& drop);
   /// Executes one module run (the `idx[0..n)` packets of `batch`, with
-  /// results at the same indices of `out`) through the specialized
-  /// kernel selected for the run's shape, or through the interpreted
-  /// RunOne loop when the shape has no registered kernel (wide/ternary)
-  /// or kernels are disabled.  BeginRun must already have resolved the
-  /// run contexts.
+  /// results at the same indices of `out`) through the compiled run's
+  /// specialized kernel, or through the interpreted RunOne loop when the
+  /// shape has no registered kernel (wide/ternary) or kernels are
+  /// disabled.
   void RunSpan(Packet* batch, PipelineResult* out, const u32* idx,
-               std::size_t n, const ModuleExecPlan& plan, u64& fwd,
-               u64& drop);
+               std::size_t n, CompiledRun& run);
   /// Streaming siblings of RunOne/RunOneCached/RunSpan: arena packets
   /// mutated in place through `stream_phv_` (one reused scratch PHV per
   /// pipeline — the streaming path emits no PHV).
-  void StreamRunOne(ArenaPacket& pkt, const ModuleExecPlan& plan, u64& fwd,
-                    u64& drop);
+  void StreamRunOne(ArenaPacket& pkt, const CompiledRun& run);
   void StreamRunOneCached(ArenaPacket& pkt, const ModuleExecPlan& plan,
                           FlowRowState& frow,
                           FlowVerdictCache::RunAccounting& acct,
                           ModuleId module, u64& fwd, u64& drop);
   void StreamRunSpan(ArenaPacket* const* pkts, const u32* idx, std::size_t n,
-                     const ModuleExecPlan& plan, u64& fwd, u64& drop);
+                     CompiledRun& run);
   /// Post-probe tails shared by the scalar and burst cached paths:
   /// resolve one packet given its probed slot and hit flag — replay on
   /// a hit, fill through the kernel/plan ladder on a miss, then
@@ -262,30 +315,22 @@ class Pipeline {
   u64 total_processed_ = 0;
   u64 config_writes_ = 0;
 
-  /// Execution-plan cache, one slot per overlay row, stamped with
-  /// ConfigVersionSum() at build time.
-  struct CachedExecPlan {
-    u64 built_at_version = ~u64{0};
-    ModuleExecPlan plan;
-  };
-  std::vector<CachedExecPlan> exec_plans_ =
-      std::vector<CachedExecPlan>(params::kOverlayTableDepth);
-
-  /// Flow-verdict memoization (stamped like exec_plans_): end-to-end
-  /// results for rows whose reachable actions are provably stateless.
+  /// Flow-verdict memoization (rows stamped like the compiled runs):
+  /// end-to-end results for rows whose reachable actions are provably
+  /// stateless.
   FlowVerdictCache flow_cache_;
 
-  // Batch scratch (ProcessBatchInto): per-stage run contexts and the
-  // pass-one data-packet index list.  Never part of observable state.
-  std::vector<Stage::ModuleRunContext> run_ctx_ =
-      std::vector<Stage::ModuleRunContext>(params::kNumStages);
+  /// Compiled module runs, one per overlay row (see CompiledRun).
+  CompiledRunTable runs_;
+
+  // Batch scratch: the data-packet index list of the fused classify
+  // pass.  Never part of observable state.
   std::vector<u32> data_idx_scratch_;
 
-  // Kernel dispatch (pipeline/kernels.hpp): the per-run step list and
-  // the multi-slot snapshot scratch are reused across runs; per-shape
-  // packet counters feed ShardStats/DumpDataplaneStats.
+  // Kernel dispatch (pipeline/kernels.hpp): the multi-slot snapshot
+  // scratch is reused across runs; per-shape packet counters feed
+  // ShardStats/DumpDataplaneStats.
   bool kernels_enabled_ = true;
-  KernelRun kernel_run_;
   Phv kernel_snapshot_scratch_;
   // Streaming scratch PHV (ProcessStreamBurst): Clear()ed and reused per
   // packet — the streaming path never emits a PHV.

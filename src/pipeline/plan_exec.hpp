@@ -42,6 +42,18 @@ inline void ApplyDisposition(const Phv& phv, PacketT& pkt) {
   }
 }
 
+/// Copies one planned move's bytes.  A move is one PHV container wide —
+/// 2, 4 or 6 bytes — so each width gets a fixed-size copy the compiler
+/// lowers to plain loads and stores instead of a runtime-length memcpy.
+inline void CopyMoveBytes(u8* dst, const u8* src, u8 width) {
+  if (width == 2)
+    std::memcpy(dst, src, 2);
+  else if (width == 4)
+    std::memcpy(dst, src, 4);
+  else
+    std::memcpy(dst, src, 6);
+}
+
 /// Runs a compiled parse plan into `phv`, which the caller guarantees is
 /// already all-zero (a freshly constructed Phv, or one Clear()ed) — the
 /// hot paths parse straight into the result's emplaced PHV and skip the
@@ -60,7 +72,7 @@ inline void PlannedParseInto(const PacketT& pkt, Phv& phv,
     const PlannedMove& mv = plan.moves[i];
     const std::size_t end = static_cast<std::size_t>(mv.pkt_off) + mv.width;
     if (end <= limit) {
-      std::memcpy(dst_base + mv.phv_off, src_base + mv.pkt_off, mv.width);
+      CopyMoveBytes(dst_base + mv.phv_off, src_base + mv.pkt_off, mv.width);
     } else {
       // Clipped tail: bytes beyond the window/packet read as zero (the
       // PHV is already zeroed).
@@ -85,7 +97,7 @@ inline void PlannedDeparseFrom(const Phv& phv, PacketT& pkt,
     const PlannedMove& mv = plan.moves[i];
     const std::size_t end = static_cast<std::size_t>(mv.pkt_off) + mv.width;
     if (end <= limit) {
-      std::memcpy(dst_base + mv.pkt_off, src_base + mv.phv_off, mv.width);
+      CopyMoveBytes(dst_base + mv.pkt_off, src_base + mv.phv_off, mv.width);
     } else {
       for (std::size_t b = 0; b < mv.width; ++b) {
         const std::size_t off = static_cast<std::size_t>(mv.pkt_off) + b;

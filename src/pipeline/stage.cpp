@@ -80,14 +80,18 @@ void Stage::MaskedKeyInto(const Phv& phv, BitVec& key) {
                     key_mask_.Lookup(phv.module_id), phv, key);
 }
 
-void Stage::BeginRun(ModuleId module, std::size_t run_len,
-                     ModuleRunContext& ctx) {
-  ctx.kx = &key_extractor_.Lookup(module);
-  ctx.mask = &key_mask_.Lookup(module);
-  ctx.plan = &PlanFor(key_extractor_.IndexFor(module));
+void Stage::ResolveRun(ModuleId module, ModuleRunContext& ctx) {
+  const std::size_t row = key_extractor_.IndexFor(module);
+  ctx.kx = &key_extractor_.At(row);
+  ctx.mask = &key_mask_.At(row);
+  ctx.plan = &PlanFor(row);
   ctx.segment = stateful_.ResolveSegment(module);
+  ctx.word_index = nullptr;
+  ctx.key_index = nullptr;
   ctx.constant = ctx.plan->skip_extraction;
+  ctx.constant_ternary = ctx.constant && ctx.kx->ternary;
   ctx.constant_hit = false;
+  ctx.constant_scanned = 0;
   ctx.constant_vliw = nullptr;
   ctx.constant_vliw_plan = nullptr;
   if (!ctx.constant) {
@@ -101,36 +105,30 @@ void Stage::BeginRun(ModuleId module, std::size_t run_len,
   }
 
   // All-zero mask: the masked key — predicate bit included — is zero for
-  // every packet of the run, so the lookup result is fixed.  Probe once
-  // (counting normally), then advance the counters for the rest of the
-  // run so they match per-packet probing exactly.
+  // every packet, so the lookup result is fixed.  Probe once, quietly;
+  // AccountRun owes the counters per run.
   std::optional<std::size_t> address;
-  const u64 extra = run_len > 0 ? run_len - 1 : 0;
-  if (ctx.kx->ternary) {
-    const u64 scanned_before = tcam_.entries_scanned();
+  if (ctx.constant_ternary) {
+    u64 scanned = 0;
     key_scratch_.AssignZero(params::kKeyBits);
-    address = tcam_.Lookup(key_scratch_, module);
-    tcam_.NoteConstantLookups(extra, address.has_value(),
-                              tcam_.entries_scanned() - scanned_before);
-  } else {
+    address = tcam_.LookupQuiet(key_scratch_, module, scanned);
+    ctx.constant_scanned = static_cast<u16>(scanned);
+  } else if (const auto* index = cam_.WordIndexFor(module)) {
     // A zero key trivially fits one word: integer hash probe.
-    address = cam_.LookupWord(0, module);
-    cam_.NoteConstantLookups(extra, address.has_value());
+    const auto it = index->find(0);
+    if (it != index->end()) address = it->second;
   }
   if (address) {
     ctx.constant_hit = true;
     ctx.constant_vliw = &vliw_table_[*address];
     ctx.constant_vliw_plan = &vliw_plans_[*address];
-    hits_ += run_len;
-  } else {
-    misses_ += run_len;
   }
 }
 
 void Stage::ProcessRun(Phv& phv, const ModuleRunContext& ctx) {
   if (ctx.constant) {
-    // Lookup resolved (and counted) by BeginRun; only the action runs
-    // per packet.
+    // Lookup resolved by ResolveRun and counted by AccountRun; only
+    // the action runs per packet.
     if (ctx.constant_hit)
       ActionEngine::ExecuteCompiled(*ctx.constant_vliw,
                                     *ctx.constant_vliw_plan, phv,

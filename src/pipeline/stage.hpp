@@ -8,15 +8,17 @@
 // action engine executes the instruction, possibly touching this stage's
 // stateful memory through the segment table.
 //
-// The batched hot path amortizes the per-packet configuration reads over
-// a *module run* — a span of consecutive same-tenant packets: BeginRun
-// resolves the overlay-table Lookup pair, the key-layout plan and the
-// stateful-segment base once, and ProcessRun then executes each packet
-// against the resolved ModuleRunContext.  A module whose key mask is all
-// zero probes the same (all-zero) key every packet, so its lookup result
-// is resolved once per run too and the per-packet work collapses to the
-// action execution (or to nothing on a constant miss) — counters advance
-// exactly as if each packet had probed.
+// The planned hot paths amortize the per-packet configuration reads:
+// ResolveRun reads the overlay-table entry pair, the key-layout plan, the
+// stateful-segment base and the CAM index handles into a ModuleRunContext
+// once per configuration version (the pipeline caches the context in its
+// compiled module run), and ProcessRun then executes each packet against
+// it.  A module whose key mask is all zero probes the same (all-zero) key
+// every packet, so ResolveRun also resolves that lookup's outcome, and
+// the per-packet work collapses to the action execution (or to nothing
+// on a constant miss).  Resolution is quiet; AccountRun advances the
+// constant-key counters by each run's length, so they read exactly as
+// if each packet had probed.
 #pragma once
 
 #include <optional>
@@ -132,12 +134,13 @@ class Stage {
   };
 
  public:
-  /// One module run's resolved per-stage state: the overlay entries, the
-  /// key-layout plan and the stateful segment, read once per run instead
-  /// of once per packet.  Valid until the next configuration write or
-  /// the end of the batch, whichever comes first (the dataplane quiesces
-  /// traffic around configuration changes, so a context never spans
-  /// one).  Opaque outside Stage.
+  /// One module's resolved per-stage state: the overlay entries, the
+  /// key-layout plan, the stateful segment and the CAM index handles,
+  /// read once per configuration version instead of once per packet.
+  /// Valid until the next configuration write to any stage (key
+  /// extractor, key mask, CAM, TCAM, VLIW or segment table); the
+  /// pipeline's compiled run re-resolves it when its config stamp moves.
+  /// Opaque outside Stage.
   struct ModuleRunContext {
     const KeyExtractorEntry* kx = nullptr;
     const KeyMaskEntry* mask = nullptr;
@@ -148,18 +151,36 @@ class Stage {
     ExactMatchCam::WordIndexHandle word_index = nullptr;
     ExactMatchCam::KeyIndexHandle key_index = nullptr;
     // All-zero-mask modules probe a constant (all-zero) key: the lookup
-    // result is resolved once per run.
+    // result is resolved with the context.
     bool constant = false;
+    bool constant_ternary = false;  // the constant probe hits the TCAM
     bool constant_hit = false;
+    u16 constant_scanned = 0;  // TCAM entries the constant probe examines
     const VliwEntry* constant_vliw = nullptr;
     const VliwPlan* constant_vliw_plan = nullptr;
   };
 
-  /// Resolves `ctx` for a run of `run_len` consecutive packets of
-  /// `module`.  For constant-key modules the lookup happens here — once
-  /// — and every CAM/stage counter is advanced by the full run length,
-  /// exactly matching what per-packet probing would have recorded.
-  void BeginRun(ModuleId module, std::size_t run_len, ModuleRunContext& ctx);
+  /// Resolves `ctx` for `module` under the current configuration.  For
+  /// constant-key modules the lookup happens here, once.  Quiet: no
+  /// counter moves, so a context may be resolved ahead of (and reused
+  /// across) any number of runs.
+  void ResolveRun(ModuleId module, ModuleRunContext& ctx);
+
+  /// Accounts one run of `run_len` packets executed under `ctx`.  A
+  /// constant-key stage advances its CAM/TCAM lookup, hit and scan
+  /// counters and its own hit/miss counters by the full run length,
+  /// exactly what per-packet probing would have recorded.  Probing
+  /// stages count per packet where they probe, so this is a no-op for
+  /// them.
+  void AccountRun(const ModuleRunContext& ctx, u64 run_len) {
+    if (!ctx.constant) return;
+    if (ctx.constant_ternary)
+      tcam_.NoteConstantLookups(run_len, ctx.constant_hit,
+                                ctx.constant_scanned);
+    else
+      cam_.NoteConstantLookups(run_len, ctx.constant_hit);
+    (ctx.constant_hit ? hits_ : misses_) += run_len;
+  }
 
   /// Processes one packet of the run `ctx` was resolved for.  Performs
   /// no overlay-table or segment-table reads.  Byte-identical to

@@ -32,9 +32,8 @@ class StatefulMemory {
   /// semantics are identical to Load/Store/LoadAddStore below — out of
   /// range is squashed and counted per access — the only difference is
   /// when the {offset, range} pair is read.  The view is invalidated by
-  /// any segment-table write; callers re-resolve per run (the dataplane
-  /// quiesces traffic around configuration changes, so a view never
-  /// spans a write).
+  /// any segment-table write; the pipeline's compiled runs re-resolve
+  /// when the config stamp, which counts segment-table writes, moves.
   class Segment {
    public:
     Segment() = default;

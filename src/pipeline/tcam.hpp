@@ -54,7 +54,8 @@ class TernaryCam {
   [[nodiscard]] std::optional<std::size_t> LookupLinear(const BitVec& key,
                                                         ModuleId module) const;
 
-  /// Counter-free Lookup for the flow-verdict cache's fill path: same
+  /// Counter-free Lookup for the flow-verdict cache's fill path (and the
+  /// constant-key resolution of Stage::ResolveRun): same
   /// result and same narrowed scan, but the entries examined land in
   /// `scanned` for later bulk accounting instead of the live counters
   /// (the fill packet's probe is accounted when its verdict is applied,
@@ -76,8 +77,8 @@ class TernaryCam {
     return entries_scanned_.load();
   }
 
-  /// Accounts `n` additional lookups whose result a run context resolved
-  /// once (an all-zero-mask module probes the same key every packet),
+  /// Accounts `n` lookups whose result a run context resolved once,
+  /// quietly (an all-zero-mask module probes the same key every packet),
   /// with `scanned_per_op` entries examined per probe: the counters
   /// advance exactly as if each packet had probed.
   void NoteConstantLookups(u64 n, bool hit, u64 scanned_per_op) const {

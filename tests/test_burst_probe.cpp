@@ -317,6 +317,10 @@ TEST(BurstProbeDifferential, ConcurrentProducersWorkerThreadsMatchReference) {
     arenas.push_back(std::make_unique<PacketArena>(kBursts * kBurst));
 
   std::atomic<std::size_t> producers_done{0};
+  // Set once the control thread has finished a full churn round; each
+  // producer holds its last burst back until then, so the churn always
+  // overlaps the streams.
+  std::atomic<bool> churned{false};
   std::mutex got_m;
   std::map<u16, std::vector<EgressRecord>> got;
   std::atomic<bool> drain_stop{false};
@@ -343,6 +347,8 @@ TEST(BurstProbeDifferential, ConcurrentProducersWorkerThreadsMatchReference) {
     producers.emplace_back([&, p] {
       PacketArena& arena = *arenas[p];
       for (std::size_t b = 0; b < kBursts; ++b) {
+        if (b + 1 == kBursts)
+          while (!churned.load()) std::this_thread::yield();
         ArenaPacket* burst[kBurst];
         std::size_t have = 0;
         while (have < kBurst) {  // cap reached = egress not drained yet
@@ -361,15 +367,16 @@ TEST(BurstProbeDifferential, ConcurrentProducersWorkerThreadsMatchReference) {
   // reorder or corrupt a tenant's stream nor race the burst scratch.
   std::thread control([&] {
     u64 flip = 0;
-    while (producers_done.load() < kProducers) {
+    do {
       for (const CompiledModule& m : images) dp.StageWrites(m.AllWrites());
       dp.CommitEpoch();
       dp.MigrateTenant(ModuleId(vids[flip % vids.size()]),
                        flip % dp.num_shards());
       if (flip % 3 == 0) dp.ResizeShards(2 + (flip / 3) % 3);  // 2..4
       ++flip;
+      churned.store(true);
       std::this_thread::yield();
-    }
+    } while (producers_done.load() < kProducers);
   });
 
   for (std::thread& t : producers) t.join();

@@ -373,7 +373,7 @@ TEST(ExecPlanKernelShape, TernaryExtractorWithNonzeroMaskIsWide) {
 
 TEST(ExecPlanKernelShape, ZeroMaskTernaryStaysKernelShaped) {
   // An all-zero-mask ternary stage resolves as a constant lookup in
-  // Stage::BeginRun — nothing for the kernel to probe, so the row keeps
+  // Stage::ResolveRun — nothing for the kernel to probe, so the row keeps
   // a straight-line shape.
   Pipeline pipe;
   const std::size_t row = 9;
@@ -476,7 +476,7 @@ TEST(ExecPlanKernelShape, ZeroMaskStageCountsOnlyWithAliasedEntry) {
 
 // Regression: an all-zero-mask (constant-key) module is eligible — its
 // key word is constantly zero — and its per-stage accounting flows
-// through Stage::BeginRun's bulk path, NOT the cache's per-verdict
+// through Stage::AccountRun's bulk path, NOT the cache's per-verdict
 // accumulator.  Both paths active in one run must still produce exactly
 // the reference counters.
 TEST(ExecPlanFlowCache, ConstantKeyModuleBulkAccountingExact) {

@@ -254,6 +254,10 @@ TEST(Ingress, FourProducersConcurrentEpochsAndMigrationsByteIdentical) {
 
   std::atomic<std::size_t> producers_done{0};
   std::atomic<int> failures{0};
+  // Set once the control thread has finished a full churn round; each
+  // producer holds its last ticket back until then, so at least one
+  // commit/migrate round always lands while tickets are in flight.
+  std::atomic<bool> churned{false};
 
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
@@ -267,6 +271,8 @@ TEST(Ingress, FourProducersConcurrentEpochsAndMigrationsByteIdentical) {
       const TenantApp& tenant = Tenants()[p];
       Rng rng(1000 + static_cast<u64>(p));
       for (int ticket_no = 0; ticket_no < kTicketsPerProducer; ++ticket_no) {
+        if (ticket_no + 1 == kTicketsPerProducer)
+          while (!churned.load()) std::this_thread::yield();
         BatchTicket ticket;
         for (std::size_t i = 0; i < kPerTicket; ++i) {
           if (tenant.spec == &apps::CalcSpec()) {
@@ -309,7 +315,7 @@ TEST(Ingress, FourProducersConcurrentEpochsAndMigrationsByteIdentical) {
   // Control thread: epoch churn + migration churn while tickets fly.
   std::thread control([&] {
     u64 flip = 0;
-    while (producers_done.load() < kProducers) {
+    do {
       for (const CompiledModule& m : images) dp.StageWrites(m.AllWrites());
       dp.CommitEpoch();
       // Bounce a stateful tenant across shards; the quiesced segment
@@ -317,10 +323,11 @@ TEST(Ingress, FourProducersConcurrentEpochsAndMigrationsByteIdentical) {
       const u16 vid = Tenants()[2 + (flip % 2)].vid;  // NetChain tenants
       dp.MigrateTenant(ModuleId(vid), flip % dp.num_shards());
       ++flip;
+      churned.store(true);
       const DataplaneStats stats = CollectDataplaneStatsRelaxed(dp);
       EXPECT_TRUE(stats.relaxed);
       std::this_thread::yield();
-    }
+    } while (producers_done.load() < kProducers);
   });
 
   for (auto& t : producers) t.join();

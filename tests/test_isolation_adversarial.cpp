@@ -273,8 +273,13 @@ TEST(Adversarial, FloodingTenantCannotMoveVictimTailLatency) {
   const auto victim_batch = [] {
     return std::vector<Packet>(64, CalcPacket(2, 1, 7, 5));
   };
+  // Enough victim batches per phase that p99 is a tail and not the
+  // second-largest sample: each batch is one latency sample of 64
+  // packets, so with 200 batches two preempted ones (a 4 ms scheduler
+  // tick each) already set p99.
+  constexpr int kRounds = 1000;
   const auto victim_round = [&] {
-    for (int b = 0; b < 200; ++b) (void)dp.ProcessBatch(victim_batch());
+    for (int b = 0; b < kRounds; ++b) (void)dp.ProcessBatch(victim_batch());
   };
   // Phase-local histogram: cumulative snapshots subtracted bucketwise.
   const auto minus = [](const HistogramSnapshot& after,
@@ -296,7 +301,7 @@ TEST(Adversarial, FloodingTenantCannotMoveVictimTailLatency) {
 
   // Attack: the same victim workload interleaved with 8x-sized hostile
   // batches on the other shard.
-  for (int b = 0; b < 200; ++b) {
+  for (int b = 0; b < kRounds; ++b) {
     (void)dp.ProcessBatch(
         std::vector<Packet>(512, CalcPacket(3, 1, 7, 5)));
     for (int v = 0; v < 1; ++v) (void)dp.ProcessBatch(victim_batch());

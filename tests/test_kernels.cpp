@@ -12,13 +12,19 @@
 // are planned paths.  Run under ASAN and TSAN in CI like test_exec_plan.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "compiler/dsl_parser.hpp"
 #include "dataplane/dataplane.hpp"
+#include "packet/arena.hpp"
 #include "pipeline/exec_plan.hpp"
 #include "pipeline/kernels.hpp"
 #include "pipeline/pipeline.hpp"
+#include "runtime/stats.hpp"
 #include "test_util.hpp"
 
 namespace menshen {
@@ -436,6 +442,402 @@ TEST(KernelsDifferential, DataplaneMatchesAcrossEpochsWritesMigrationsResizes) {
     EXPECT_EQ(dp.forwarded(ModuleId(vid)), interp.forwarded(ModuleId(vid)));
     EXPECT_EQ(dp.dropped(ModuleId(vid)), interp.dropped(ModuleId(vid)));
   }
+}
+
+// --- Compiled-run coherence ---------------------------------------------------
+//
+// A pipeline compiles each overlay row's module run once per config
+// stamp: the plan, the resolved stage contexts with their constant-key
+// outcomes, the flow-cache row, the kernel steps and their last-key
+// memo.  Between calls this test makes every kind of change such a cache
+// could miss — CAM, VLIW, key-mask and segment-table writes through
+// ApplyWrite, the same writes straight into the tables (bypassing
+// ApplyWrite), tenant migrations and replica resizes — and every call
+// carries many short tenant runs.  Each path's bytes must equal
+// ProcessUnplanned, and every counter must equal its per-packet
+// reference.
+
+/// One-word-key router with constant actions only: flow-cache eligible.
+const ModuleSpec& ConstRouterSpec() {
+  static const ModuleSpec spec = [] {
+    Diagnostics d;
+    ModuleSpec s = ParseModuleDsl(R"(
+module router {
+  field tag : 2 @ 46;
+  action fwd(p) { port(p); }
+  action sink { drop(); }
+  table routes { key = { tag }; actions = { fwd, sink }; size = 4; }
+}
+)",
+                                  d);
+    if (!d.ok()) throw std::logic_error(d.ToString());
+    return s;
+  }();
+  return spec;
+}
+
+/// Applies `w` straight to the addressed table, bypassing
+/// Pipeline::ApplyWrite (no write counter, no filter bump) — only the
+/// tables' own version counters can tell a compiled run it is stale.
+void DirectWrite(Pipeline& p, const ConfigWrite& w) {
+  Stage& stage = p.stage(w.stage);
+  switch (w.kind) {
+    case ResourceKind::kCamEntry:
+      stage.cam().Write(w.index, CamEntry::Decode(w.payload));
+      return;
+    case ResourceKind::kVliwAction:
+      stage.WriteVliw(w.index, VliwEntry::Decode(w.payload));
+      return;
+    case ResourceKind::kKeyMask:
+      stage.key_mask().Write(w.index, KeyMaskEntry::Decode(w.payload));
+      return;
+    case ResourceKind::kSegmentTable:
+      stage.stateful().segment_table().Write(w.index,
+                                             SegmentEntry::Decode(w.payload));
+      return;
+    default:
+      throw std::logic_error("DirectWrite: unsupported resource");
+  }
+}
+
+TEST(CompiledRunCoherence, ChangesBetweenCallsMatchPerPacketReference) {
+  Rng rng(0xC0DE);
+  // 2, 3: calc (kernel tier, constant-key stages around one probe);
+  // 4: netchain (stateful kernel); 5: router (flow-cache tier);
+  // 6: unconfigured (every stage a constant miss).
+  constexpr u16 kNetChain = 4;
+  constexpr u16 kRouter = 5;
+  const std::vector<u16> vids = {2, 3, kNetChain, kRouter, 6};
+  const std::vector<u16> configured = {2, 3, kNetChain, kRouter};
+
+  std::vector<ConfigWrite> install;
+  for (std::size_t i = 0; i < configured.size(); ++i) {
+    const u16 vid = configured[i];
+    const ModuleAllocation alloc = UniformAllocation(
+        ModuleId(vid), 0, params::kNumStages, i * 4, 4, 0, 2);
+    CompiledModule m =
+        vid == kRouter     ? MustCompile(ConstRouterSpec(), alloc)
+        : vid == kNetChain ? MustCompile(apps::NetChainSpec(), alloc)
+                           : MustCompile(apps::CalcSpec(), alloc);
+    if (vid == kRouter) {
+      for (u16 t = 0; t < 3; ++t)
+        m.AddEntry("routes", {{"tag", t}}, std::nullopt, "fwd",
+                   {static_cast<u64>(40 + t)});
+      m.AddEntry("routes", {{"tag", 3}}, std::nullopt, "sink", {});
+      EXPECT_TRUE(m.ok()) << m.diags().ToString();
+    } else if (vid == kNetChain) {
+      EXPECT_TRUE(apps::InstallNetChainEntries(m, 30));
+    } else {
+      EXPECT_TRUE(apps::InstallCalcEntries(m, static_cast<u16>(10 + vid)));
+    }
+    for (const ConfigWrite& w : m.AllWrites()) install.push_back(w);
+  }
+
+  Pipeline batched;
+  Pipeline stream;
+  Pipeline single;
+  Pipeline interp;  // kernels off: the interpreted plan path
+  Pipeline reference;
+  interp.SetKernelsEnabled(false);
+  const std::array<Pipeline*, 5> pipes = {&batched, &stream, &single, &interp,
+                                          &reference};
+  Dataplane dp(DataplaneConfig{.num_shards = 3, .worker_threads = false});
+  for (Pipeline* p : pipes)
+    for (const ConfigWrite& w : install) p->ApplyWrite(w);
+  dp.ApplyWrites(install);
+
+  // Each tenant's installed key masks, for toggling stages between
+  // probing and constant-key.
+  std::map<std::pair<u16, std::size_t>, KeyMaskEntry> installed_mask;
+  for (const u16 vid : vids)
+    for (std::size_t s = 0; s < params::kNumStages; ++s)
+      installed_mask[{vid, s}] =
+          reference.stage(s).key_mask().At(vid % params::kOverlayTableDepth);
+
+  const auto apply = [&](const ConfigWrite& w, bool direct) {
+    for (Pipeline* p : pipes) {
+      if (direct)
+        DirectWrite(*p, w);
+      else
+        p->ApplyWrite(w);
+    }
+    // Replicas added by a later resize replay the dataplane's config
+    // log, so the dataplane always takes the logged path.
+    dp.ApplyWrite(w);
+  };
+  const auto cam_write = [&](u16 vid, std::size_t s) {
+    const std::size_t block =
+        4 * static_cast<std::size_t>(std::find(configured.begin(),
+                                               configured.end(), vid) -
+                                     configured.begin());
+    const std::size_t addr = block + rng.Below(4);
+    CamEntry e = reference.stage(s).cam().At(addr);
+    if (e.valid && e.module == ModuleId(vid) && rng.Below(2) == 0) {
+      // Retract a live entry: a key the last run hit must now miss.
+      e.valid = false;
+    } else {
+      e.module = ModuleId(vid);
+      e.valid = true;
+      // A zero key matches a constant-key stage of this tenant.
+      e.key = BitVec::FromValue(params::kKeyBits,
+                                rng.Below(3) == 0 ? 0 : rng.Below(8) << 1);
+    }
+    return ConfigWrite{ResourceKind::kCamEntry, static_cast<u8>(s),
+                       static_cast<u8>(addr), e.Encode()};
+  };
+  const auto vliw_write = [&](std::size_t s) {
+    const std::size_t addr = rng.Below(params::kVliwTableDepth);
+    VliwEntry v = reference.stage(s).VliwAt(addr);
+    if (rng.Below(2) == 0) {
+      v.slots[kNumAluContainers - 1] = AluAction{
+          AluOp::kPort, 0, 0, static_cast<u16>(50 + rng.Below(8))};
+    } else {
+      v.slots[rng.Below(kNumAluContainers)] = AluAction{};
+    }
+    return ConfigWrite{ResourceKind::kVliwAction, static_cast<u8>(s),
+                       static_cast<u8>(addr), v.Encode()};
+  };
+  const auto mask_write = [&](u16 vid, std::size_t s) {
+    const std::size_t row = vid % params::kOverlayTableDepth;
+    KeyMaskEntry mask;
+    if (reference.stage(s).key_mask().At(row).mask.is_zero()) {
+      mask = installed_mask[{vid, s}];
+      if (mask.mask.is_zero()) mask.mask.set_field(1, 16, 0xFFFF);
+    }
+    return ConfigWrite{ResourceKind::kKeyMask, static_cast<u8>(s),
+                       static_cast<u8>(row), mask.Encode()};
+  };
+
+  const auto make_packet = [&](u16 vid) {
+    switch (vid) {
+      case 2:
+      case 3:
+        return CalcPacket(vid, static_cast<u16>(1 + rng.Below(4)),
+                          static_cast<u32>(rng.Below(50)),
+                          static_cast<u32>(rng.Below(50)));
+      case kNetChain:
+        return NetChainPacket(
+            vid, rng.Below(4) == 0 ? u16{1} : apps::kNetChainOpSeq);
+      case kRouter: {
+        Packet p = PacketBuilder{}.vid(ModuleId(vid)).frame_size(96).Build();
+        p.bytes().set_u16(46, static_cast<u16>(rng.Below(6)));
+        return p;
+      }
+      default: {
+        Packet p = PacketBuilder{}
+                       .vid(ModuleId(vid))
+                       .frame_size(64 + rng.Below(64))
+                       .Build();
+        p.bytes().set_u8(46 + rng.Below(10), static_cast<u8>(rng.Below(256)));
+        return p;
+      }
+    }
+  };
+
+  PacketArena arena;
+  std::size_t next_segment = 16;  // fresh stateful window for netchain
+  u64 sent = 0;
+  for (int round = 0; round < 200; ++round) {
+    const u16 vid = configured[rng.Below(configured.size())];
+    // Half the writes land on a stage the tenant probes in.
+    std::size_t s = rng.Below(params::kNumStages);
+    for (std::size_t tries = 0; tries < params::kNumStages; ++tries) {
+      if (rng.Below(2) == 0 || !installed_mask[{vid, s}].mask.is_zero()) break;
+      s = (s + 1) % params::kNumStages;
+    }
+    switch (rng.Below(8)) {
+      case 0:
+        apply(cam_write(vid, s), false);
+        break;
+      case 1:
+        apply(vliw_write(s), false);
+        break;
+      case 2:
+        apply(mask_write(vid, s), false);
+        break;
+      case 3: {
+        // Move netchain's state to a fresh window: its sequence restarts
+        // from zero on every path only if no run kept the old segment
+        // view.  (Fresh windows keep migrations exact: the old window is
+        // never read again.)
+        if (next_segment + 2 > params::kStatefulWordsPerStage) break;
+        SegmentEntry seg;
+        seg.offset = static_cast<u8>(next_segment);
+        seg.range = 2;
+        next_segment += 16;
+        for (std::size_t st = 0; st < params::kNumStages; ++st)
+          apply(ConfigWrite{ResourceKind::kSegmentTable, static_cast<u8>(st),
+                            static_cast<u8>(kNetChain %
+                                            params::kOverlayTableDepth),
+                            seg.Encode()},
+                rng.Below(2) == 0);
+        break;
+      }
+      case 4: {
+        const auto which = rng.Below(3);
+        apply(which == 0   ? cam_write(vid, s)
+              : which == 1 ? vliw_write(s)
+                           : mask_write(vid, s),
+              true);
+        break;
+      }
+      case 5:
+        dp.MigrateTenant(ModuleId(vids[rng.Below(vids.size())]),
+                         rng.Below(dp.num_shards()));
+        break;
+      case 6:
+        dp.ResizeShards(1 + rng.Below(4));
+        break;
+      default:
+        break;  // no change: compiled runs carry over between calls
+    }
+
+    // Many short tenant runs, with the occasional longer one.
+    std::vector<Packet> batch;
+    const std::size_t count = 16 + rng.Below(48);
+    u16 tenant = vids[rng.Below(vids.size())];
+    for (std::size_t i = 0; i < count; ++i) {
+      if (rng.Below(4) != 0) tenant = vids[rng.Below(vids.size())];
+      batch.push_back(make_packet(tenant));
+    }
+    sent += count;
+    const std::string what = "round " + std::to_string(round);
+
+    std::vector<PipelineResult> ref;
+    for (const Packet& p : batch) ref.push_back(reference.ProcessUnplanned(p));
+
+    std::vector<Packet> copy = batch;
+    const std::vector<PipelineResult> got_batched =
+        batched.ProcessBatch(std::move(copy));
+    copy = batch;
+    const std::vector<PipelineResult> got_interp =
+        interp.ProcessBatch(std::move(copy));
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::string at = what + " packet " + std::to_string(i);
+      ExpectSameOutput(ref[i], got_batched[i], at + " (batched)");
+      ExpectSameOutput(ref[i], got_interp[i], at + " (interpreted)");
+      ExpectSameOutput(ref[i], single.Process(batch[i]), at + " (single)");
+    }
+
+    std::vector<ArenaPacket*> bufs(count);
+    ASSERT_EQ(arena.AllocateBurst(bufs.data(), count), count);
+    for (std::size_t i = 0; i < count; ++i)
+      bufs[i]->Assign(batch[i].bytes().bytes());
+    stream.ProcessStreamBurst(bufs.data(), count);
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::string at = what + " packet " + std::to_string(i);
+      const ArenaPacket& p = *bufs[i];
+      ASSERT_TRUE(ref[i].output.has_value()) << at;
+      const Packet& r = *ref[i].output;
+      EXPECT_EQ(static_cast<FilterVerdict>(p.verdict), ref[i].filter_verdict)
+          << at;
+      const auto bytes = p.bytes().bytes();
+      EXPECT_EQ(std::vector<u8>(bytes.begin(), bytes.end()),
+                std::vector<u8>(r.bytes().bytes().begin(),
+                                r.bytes().bytes().end()))
+          << at << " (stream)";
+      EXPECT_EQ(p.disposition, r.disposition) << at << " (stream)";
+      EXPECT_EQ(p.egress_port, r.egress_port) << at << " (stream)";
+      EXPECT_EQ(p.multicast_ports, r.multicast_ports) << at << " (stream)";
+    }
+    ReleaseToOwners(bufs.data(), count);
+
+    // The dataplane takes the first half as a stream burst, the second
+    // as a batched ticket.  Per-tenant order is what both keep.
+    const std::size_t half = count / 2;
+    for (std::size_t i = 0; i < half; ++i)
+      ASSERT_NE(bufs[i] = arena.Allocate(), nullptr);
+    for (std::size_t i = 0; i < half; ++i)
+      bufs[i]->Assign(batch[i].bytes().bytes());
+    dp.SubmitStream(bufs.data(), half);
+    std::vector<ArenaPacket*> egress;
+    dp.PollEgress(egress);
+    std::map<u16, std::vector<std::vector<u8>>> want;
+    std::map<u16, std::vector<std::vector<u8>>> egressed;
+    for (std::size_t i = 0; i < half; ++i) {
+      const Packet& r = *ref[i].output;
+      if (r.disposition == Disposition::kDrop) continue;
+      want[batch[i].vid().value()].emplace_back(r.bytes().bytes().begin(),
+                                                r.bytes().bytes().end());
+    }
+    for (const ArenaPacket* p : egress) {
+      const auto bytes = p->bytes().bytes();
+      egressed[p->vid().value()].emplace_back(bytes.begin(), bytes.end());
+    }
+    EXPECT_EQ(egressed, want) << what << " (dataplane stream)";
+    ReleaseToOwners(egress.data(), egress.size());
+    EXPECT_EQ(arena.outstanding(), 0u) << what;
+
+    std::vector<Packet> tail(batch.begin() + static_cast<std::ptrdiff_t>(half),
+                             batch.end());
+    const std::vector<PipelineResult> got_dp = dp.ProcessBatch(std::move(tail));
+    for (std::size_t i = half; i < count; ++i)
+      ExpectSameOutput(ref[i], got_dp[i - half],
+                       what + " packet " + std::to_string(i) +
+                           " (dataplane batched)");
+  }
+
+  // Counters: the match path against the per-packet reference, on every
+  // planned path.
+  for (const Pipeline* p : {&batched, &stream, &single, &interp}) {
+    for (std::size_t s = 0; s < params::kNumStages; ++s) {
+      const Stage& got = p->stage(s);
+      const Stage& want = reference.stage(s);
+      EXPECT_EQ(got.hits(), want.hits()) << "stage " << s;
+      EXPECT_EQ(got.misses(), want.misses()) << "stage " << s;
+      EXPECT_EQ(got.cam().lookups(), want.cam().lookups()) << "stage " << s;
+      EXPECT_EQ(got.cam().hits(), want.cam().hits()) << "stage " << s;
+      EXPECT_EQ(got.tcam().lookups(), want.tcam().lookups()) << "stage " << s;
+      EXPECT_EQ(got.tcam().hits(), want.tcam().hits()) << "stage " << s;
+    }
+    for (const u16 vid : vids) {
+      EXPECT_EQ(p->forwarded(ModuleId(vid)), reference.forwarded(ModuleId(vid)))
+          << "tenant " << vid;
+      EXPECT_EQ(p->dropped(ModuleId(vid)), reference.dropped(ModuleId(vid)))
+          << "tenant " << vid;
+    }
+    EXPECT_EQ(p->total_processed(), reference.total_processed());
+  }
+
+  // Flow-cache and kernel counters: the batched and streaming paths
+  // against packet-at-a-time Process.
+  const FlowCacheStats fc = single.FlowCacheSnapshot();
+  const Pipeline::KernelStats ks = single.KernelSnapshot();
+  EXPECT_GT(fc.hits, 0u);
+  EXPECT_GT(ks.pkts, 0u);
+  for (const Pipeline* p : {&batched, &stream}) {
+    const FlowCacheStats f = p->FlowCacheSnapshot();
+    EXPECT_EQ(f.hits, fc.hits);
+    EXPECT_EQ(f.misses, fc.misses);
+    EXPECT_EQ(f.evictions, fc.evictions);
+    EXPECT_EQ(f.occupancy, fc.occupancy);
+    const Pipeline::KernelStats k = p->KernelSnapshot();
+    EXPECT_EQ(k.pkts, ks.pkts);
+    EXPECT_EQ(k.fallback_pkts, ks.fallback_pkts);
+    EXPECT_EQ(k.record_fills, ks.record_fills);
+    EXPECT_EQ(k.shape_pkts, ks.shape_pkts);
+  }
+  const FlowCacheStats fi = interp.FlowCacheSnapshot();
+  EXPECT_EQ(fi.hits, fc.hits);
+  EXPECT_EQ(fi.misses, fc.misses);
+  EXPECT_EQ(interp.KernelSnapshot().pkts, 0u);
+
+  // Per-tenant dataplane stats: exact (quiesced replicas plus retired
+  // shards) and relaxed (per-run adds) both equal the reference.
+  const DataplaneStats exact = CollectDataplaneStats(dp);
+  const DataplaneStats relaxed = CollectDataplaneStatsRelaxed(dp);
+  ASSERT_EQ(exact.tenants.size(), relaxed.tenants.size());
+  for (std::size_t i = 0; i < exact.tenants.size(); ++i) {
+    const ModuleId t = exact.tenants[i].tenant;
+    EXPECT_EQ(relaxed.tenants[i].tenant, t);
+    EXPECT_EQ(exact.tenants[i].forwarded, reference.forwarded(t)) << t.value();
+    EXPECT_EQ(exact.tenants[i].dropped, reference.dropped(t)) << t.value();
+    EXPECT_EQ(relaxed.tenants[i].forwarded, exact.tenants[i].forwarded)
+        << t.value();
+    EXPECT_EQ(relaxed.tenants[i].dropped, exact.tenants[i].dropped)
+        << t.value();
+  }
+  EXPECT_EQ(dp.total_packets(), sent);
 }
 
 }  // namespace

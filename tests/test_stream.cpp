@@ -347,6 +347,11 @@ TEST(Stream, RandomizedChurnByteIdenticalToBatchedReferencePerTenant) {
     arenas.push_back(std::make_unique<PacketArena>(kBursts * kBurst));
 
   std::atomic<std::size_t> producers_done{0};
+  // Set once the control thread has finished a full churn round.  Each
+  // producer holds its last burst back until then, so at least one
+  // commit/migrate round always lands while the streams are in flight,
+  // however fast the dataplane drains them.
+  std::atomic<bool> churned{false};
   std::mutex got_m;
   std::map<u16, std::vector<EgressRecord>> got;
   std::atomic<bool> drain_stop{false};
@@ -378,6 +383,8 @@ TEST(Stream, RandomizedChurnByteIdenticalToBatchedReferencePerTenant) {
       std::this_thread::sleep_for(std::chrono::microseconds(200 * p));
       PacketArena& arena = *arenas[p];
       for (std::size_t b = 0; b < kBursts; ++b) {
+        if (b + 1 == kBursts)
+          while (!churned.load()) std::this_thread::yield();
         ArenaPacket* burst[kBurst];
         std::size_t have = 0;
         while (have < kBurst) {  // cap reached = egress not drained yet
@@ -397,7 +404,7 @@ TEST(Stream, RandomizedChurnByteIdenticalToBatchedReferencePerTenant) {
   // a tenant's stream.
   std::thread control([&] {
     u64 flip = 0;
-    while (producers_done.load() < kProducers) {
+    do {
       for (const CompiledModule& m : images) dp.StageWrites(m.AllWrites());
       dp.CommitEpoch();
       const u16 vid = Tenants()[flip % Tenants().size()].vid;
@@ -405,8 +412,9 @@ TEST(Stream, RandomizedChurnByteIdenticalToBatchedReferencePerTenant) {
       if (flip % 3 == 0) dp.ResizeShards(2 + (flip / 3) % 3);  // 2..4
       if (flip % 5 == 0) dp.SetIngressQueueDepth(flip % 10 == 0 ? 4 : 8);
       ++flip;
+      churned.store(true);
       std::this_thread::yield();
-    }
+    } while (producers_done.load() < kProducers);
   });
 
   for (auto& t : producers) t.join();
